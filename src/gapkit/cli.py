@@ -1,6 +1,7 @@
 """gapkit command-line harness.
 
-Exit codes: 0 success, 2 config/usage error, 3 every replicate failed.
+Exit codes: 0 success, 2 config/usage error, 3 every replicate failed,
+4 numerical failure.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from .em import EmConfig, EVariant, MVariant, em_gaussian_fit, em_student_fit
 from .graph import (
     RecoveryConfig,
     FidelityKind,
-    SmoothnessKind,
     UndirectedGraph,
     gmrf_learn,
     recover_tikhonov,
@@ -49,6 +49,7 @@ from .imputation import ImputerKind, ImputerSpec, multiple_impute, run_imputer
 
 EXIT_CONFIG = 2
 EXIT_ALL_FAILED = 3
+EXIT_NUMERICAL = 4
 
 
 @click.group()
@@ -316,7 +317,7 @@ def _write_edge_csv(path, pairs):
 @click.option("--in", "in_path", type=click.Path(exists=True), required=True)
 @click.option("--mask", "mask_path", type=click.Path(exists=True), default=None)
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
-@click.option("--smoothness", "smooth", type=click.Choice(["tikhonov", "tv", "spatiotemporal"]), default="tikhonov")
+@click.option("--smoothness", "smooth", type=click.Choice(["tikhonov", "tv"]), default="tikhonov")
 @click.option("--fidelity", type=click.Choice([v.value for v in FidelityKind]), default="exact")
 @click.option("--alpha", type=float, default=1.0)
 @click.option("--beta", type=float, default=0.0)
@@ -329,12 +330,7 @@ def graph_recover_cmd(in_path, mask_path, graph_path, smooth, fidelity, alpha, b
         if smooth == "tv":
             X = recover_tv(Y, G, alpha=alpha)
         else:
-            cfg = RecoveryConfig(
-                fidelity=FidelityKind(fidelity),
-                smoothness=SmoothnessKind(smooth),
-                alpha=alpha,
-                beta=beta,
-            )
+            cfg = RecoveryConfig(fidelity=FidelityKind(fidelity), alpha=alpha, beta=beta)
             X = recover_tikhonov(Y, G, cfg)
     except ValueError as exc:
         _fail_config(exc)
@@ -377,6 +373,9 @@ def graph_joint_cmd(in_path, mask_path, alpha_a, alpha_l, sigma_n2, iters, out_p
         res = stsrgl_fit(Y, alpha_a=alpha_a, alpha_l=alpha_l, sigma_n2=sigma_n2, iters=iters)
     except ValueError as exc:
         _fail_config(exc)
+    except RuntimeError as exc:
+        click.echo(f"numerical failure: {exc}", err=True)
+        sys.exit(EXIT_NUMERICAL)
     write_matrix_csv(f"{out_prefix}.X.csv", res.X)
     _write_edge_csv(f"{out_prefix}.L.csv", res.L.edges())
     A = res.A.A

@@ -162,7 +162,8 @@ def read_matrix_csv(path, mask_path=None) -> IncompleteMatrix:
     """Read a p x n matrix CSV; empty fields mark missing entries.
 
     If mask_path is given, the sidecar 0/1 mask overrides the empty-field
-    convention (entries masked out are dropped even if a value is present).
+    convention (entries masked out are dropped even if a value is present);
+    an empty field the mask marks observed is an error.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n").rstrip("\r") for line in fh]
@@ -180,7 +181,18 @@ def read_matrix_csv(path, mask_path=None) -> IncompleteMatrix:
     values = np.array(rows, dtype=float)
     if mask_path is not None:
         mask = np.loadtxt(mask_path, delimiter=",", dtype=float, ndmin=2)
-        values = np.where(np.asarray(mask) == 1, values, np.nan)
+        if mask.shape != values.shape:
+            raise ValueError(
+                f"shape mismatch: values {values.shape} vs mask {mask.shape}"
+            )
+        holes = np.argwhere(np.isnan(values) & (mask == 1))
+        if len(holes):
+            i, j = holes[0]
+            raise ValueError(
+                f"{path}: empty field at row {i}, column {j} (0-based) "
+                f"is marked observed in {mask_path}"
+            )
+        values = np.where(mask == 1, values, np.nan)
     else:
         mask = (~np.isnan(values)).astype(np.int8)
     return IncompleteMatrix(np.nan_to_num(values, nan=0.0), mask)

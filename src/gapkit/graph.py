@@ -159,6 +159,10 @@ def recover_tikhonov(
     linear system or iteratively reweighted least squares respectively.
     """
     cfg = cfg or RecoveryConfig()
+    if cfg.smoothness is not SmoothnessKind.TIKHONOV:
+        raise ValueError(
+            f"recover_tikhonov implements tikhonov smoothness only, got {cfg.smoothness.value!r}"
+        )
     if cfg.regularizer is RegularizerKind.NUCLEAR:
         raise ValueError("nuclear-norm regularization lives in the completion module")
     W = W.W if isinstance(W, UndirectedGraph) else np.asarray(W, dtype=float)
@@ -179,19 +183,22 @@ def recover_tikhonov(
             out[np.ix_(mis, cols)] = cho_solve(f, -L_mo @ Y.values[np.ix_(obs, cols)])
         return out
     beta = cfg.beta if cfg.regularizer is RegularizerKind.FROBENIUS else 0.0
+    base = 2.0 * cfg.alpha * L + 2.0 * beta * np.eye(Y.p)
+    y_full = Y.filled(0.0)
     if cfg.fidelity is FidelityKind.SQUARED:
-        base = 2.0 * cfg.alpha * L + 2.0 * beta * np.eye(Y.p)
         for obs, _mis, cols in _pattern_groups(Y):
             H = base.copy()
             H[obs, obs] += 2.0
-            rhs = 2.0 * np.where(Y.mask[:, cols] == 1, Y.filled(0.0)[:, cols], 0.0)
+            rhs = 2.0 * y_full[:, cols]
             try:
                 out[:, cols] = np.linalg.solve(H, rhs)
             except np.linalg.LinAlgError:
                 out[:, cols] = np.linalg.lstsq(H, rhs, rcond=None)[0]
         return out
-    # Huber fidelity by IRLS per column
-    y_full = Y.filled(0.0)
+    # Huber fidelity by IRLS per column. The reweighted system is SPD unless
+    # beta = 0 and a graph component carries no data weight; Cholesky then
+    # fails and least squares picks the minimum-norm solution.
+    diag = np.diag_indices(Y.p)
     for j in range(Y.n):
         m = Y.mask[:, j].astype(float)
         x = y_full[:, j].copy()
@@ -199,8 +206,13 @@ def recover_tikhonov(
             resid = y_full[:, j] - x
             a = np.abs(resid)
             omega = m * np.where(a <= cfg.delta, 1.0, cfg.delta / np.maximum(a, 1e-300))
-            H = np.diag(omega) + 2.0 * cfg.alpha * L + 2.0 * beta * np.eye(Y.p)
-            x_new = np.linalg.lstsq(H, omega * y_full[:, j], rcond=None)[0]
+            H = base.copy()
+            H[diag] += omega
+            rhs = omega * y_full[:, j]
+            try:
+                x_new = cho_solve(cho_factor(H, check_finite=False), rhs, check_finite=False)
+            except np.linalg.LinAlgError:
+                x_new = np.linalg.lstsq(H, rhs, rcond=None)[0]
             if np.abs(x_new - x).max() < cfg.tol * (1.0 + np.abs(x).max()):
                 x = x_new
                 break
@@ -232,6 +244,8 @@ def recover_tv(
     D[np.arange(n_e), ei] = 1.0
     D[np.arange(n_e), ej] = -1.0
     Q = D.T @ D
+    thr = (alpha * we / rho)[:, None]
+    y_full = Y.filled(0.0)
     out = Y.values.copy()
     for obs, mis, cols in _pattern_groups(Y):
         if len(mis) == 0:
@@ -240,8 +254,9 @@ def recover_tv(
             f = cho_factor(Q[np.ix_(mis, mis)])
         except np.linalg.LinAlgError as exc:
             raise ValueError("missing component disconnected from observed nodes") from exc
-        Xg = Y.filled(0.0)[:, cols].copy()
+        Xg = y_full[:, cols]
         Xg[mis] = 0.0
+        coupling = Q[np.ix_(mis, obs)] @ Xg[obs]  # observed rows never change
         nc = len(cols)
         Z = D @ Xg
         Ud = np.zeros((n_e, nc))
@@ -249,14 +264,13 @@ def recover_tv(
         best = Xg[mis].copy()
         for _ in range(max_iter):
             rhs = D.T @ (Z - Ud)
-            Xg[mis] = cho_solve(f, rhs[mis] - Q[np.ix_(mis, obs)] @ Xg[obs])
+            Xg[mis] = cho_solve(f, rhs[mis] - coupling, check_finite=False)
             Dx = D @ Xg
             obj = alpha * (we @ np.abs(Dx))
             better = obj < best_obj
             if better.any():
                 best_obj = np.where(better, obj, best_obj)
                 best[:, better] = Xg[mis][:, better]
-            thr = (alpha * we / rho)[:, None]
             V = Dx + Ud
             Z = np.sign(V) * np.maximum(np.abs(V) - thr, 0.0)
             Ud += Dx - Z
@@ -419,10 +433,10 @@ class StsrglResult:
     objective_trace: NDArray
 
 
-def _stsrgl_objective(X, A, Wm, Y, sigma_n2, alpha_a, alpha_l):
+def _stsrgl_objective(X, A, Wm, Yz, mask, sigma_n2, alpha_a, alpha_l):
     p, n = X.shape
     L = np.diag(Wm.sum(axis=1)) - Wm
-    resid = np.where(Y.mask == 1, Y.filled(0.0) - X, 0.0)
+    resid = np.where(mask == 1, Yz - X, 0.0)
     fid = float(np.sum(resid**2)) / (2.0 * sigma_n2)
     E = np.empty_like(X)
     E[:, 0] = X[:, 0]
@@ -464,9 +478,12 @@ def stsrgl_fit(
         raise ValueError("every column needs at least one observed entry")
     # Initial fill: harmonic interpolation on the uninformative complete
     # graph, which reduces to each column's observed mean.
-    X = Y.filled(0.0)
-    col_means = X.sum(axis=0) / col_obs
-    X = np.where(Y.mask == 1, X, col_means[None, :])
+    Yz = Y.filled(0.0)
+    col_means = Yz.sum(axis=0) / col_obs
+    X = np.where(Y.mask == 1, Yz, col_means[None, :])
+    # per-column data term of the signal solve: diagonal weight and rhs
+    Dw = Y.mask / sigma_n2
+    B0 = Dw * Yz
     A = np.zeros((p, p))
     iu, ju = np.triu_indices(p, k=1)
 
@@ -480,18 +497,18 @@ def stsrgl_fit(
     g = gmrf_learn(E @ E.T / n, alpha_l, max_iter=gmrf_iters)
     Wm = g.W.copy()
     w_vec = Wm[iu, ju]
-    trace = [_stsrgl_objective(X, A, Wm, Y, sigma_n2, alpha_a, alpha_l)]
+    trace = [_stsrgl_objective(X, A, Wm, Yz, Y.mask, sigma_n2, alpha_a, alpha_l)]
     for _cycle in range(iters):
         L = np.diag(Wm.sum(axis=1)) - Wm
         # (a) signal given the graphs: exact column-wise minimization
         ALA = A.T @ L @ A
         LA = L @ A
+        H_inner = L + ALA
         for _sweep in range(x_sweeps):
             for t in range(n):
-                H = L + ALA if t < n - 1 else L
-                d = Y.mask[:, t] / sigma_n2
-                Hd = H + np.diag(d)
-                b = d * Y.filled(0.0)[:, t]
+                H = H_inner if t < n - 1 else L
+                Hd = H + np.diag(Dw[:, t])
+                b = B0[:, t]
                 if t >= 1:
                     b = b + LA @ X[:, t - 1]
                 if t < n - 1:
@@ -517,7 +534,7 @@ def stsrgl_fit(
         g = gmrf_learn(E @ E.T / n, alpha_l, w0=w_vec, max_iter=gmrf_iters)
         Wm = g.W.copy()
         w_vec = Wm[iu, ju]
-        obj = _stsrgl_objective(X, A, Wm, Y, sigma_n2, alpha_a, alpha_l)
+        obj = _stsrgl_objective(X, A, Wm, Yz, Y.mask, sigma_n2, alpha_a, alpha_l)
         if obj > trace[-1] + 1e-8 * (1.0 + abs(trace[-1])):
             raise RuntimeError(
                 f"joint objective increased ({trace[-1]:.6g} -> {obj:.6g}); solver bug"

@@ -155,6 +155,49 @@ def test_graph_recover_and_learn(runner, tmp_path):
     assert res2.exit_code == 0, res2.output
 
 
+def test_impute_sidecar_mask_marking_empty_field_observed(runner, tmp_path):
+    data = tmp_path / "x.csv"
+    write_matrix_csv(data, np.array([[1.0, np.nan], [2.0, 3.0]]))
+    mask = tmp_path / "m.csv"
+    mask.write_text("1,1\n1,1\n", encoding="utf-8")
+    res = runner.invoke(
+        main, ["impute", "--in", str(data), "--mask", str(mask), "--out", str(tmp_path / "o.csv")]
+    )
+    assert res.exit_code == 2
+    assert "row 0, column 1" in res.output
+
+
+def test_graph_recover_rejects_spatiotemporal(runner, tmp_path):
+    edges = tmp_path / "g.csv"
+    edges.write_text("0,1,1.0\n", encoding="utf-8")
+    data = tmp_path / "sig.csv"
+    write_matrix_csv(data, np.array([[0.0], [np.nan]]))
+    res = runner.invoke(
+        main,
+        ["graph", "recover", "--in", str(data), "--graph", str(edges),
+         "--smoothness", "spatiotemporal", "--out", str(tmp_path / "rec.csv")],
+    )
+    assert res.exit_code == 2
+    assert "--smoothness" in res.output
+
+
+def test_graph_joint_numerical_failure_exit_code(runner, tmp_path, monkeypatch):
+    import gapkit.cli as cli
+
+    def diverge(*args, **kwargs):
+        raise RuntimeError("joint objective increased (1 -> 2); solver bug")
+
+    monkeypatch.setattr(cli, "stsrgl_fit", diverge)
+    data = tmp_path / "sig.csv"
+    _write_gappy_matrix(data, seed=4)
+    res = runner.invoke(
+        main, ["graph", "joint", "--in", str(data), "--out-prefix", str(tmp_path / "fit")]
+    )
+    assert res.exit_code == 4
+    assert "numerical failure: joint objective increased" in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 def test_ts_fit_and_impute(runner, tmp_path):
     rng = np.random.default_rng(10)
     n = 400

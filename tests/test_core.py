@@ -167,3 +167,15 @@ def test_csv_sidecar_mask(tmp_path):
     X = read_matrix_csv(tmp_path / "v.csv", tmp_path / "m.csv")
     assert np.array_equal(X.mask, mask)
     assert np.isnan(X.values[0, 1])
+
+
+def test_csv_sidecar_mask_rejects_observed_empty_field(tmp_path):
+    vals = np.arange(6.0).reshape(2, 3)
+    vals[1, 2] = np.nan  # written as an empty field
+    write_matrix_csv(tmp_path / "v.csv", vals)
+    write_mask_csv(tmp_path / "m.csv", np.ones((2, 3), dtype=int))
+    with pytest.raises(ValueError, match="row 1, column 2"):
+        read_matrix_csv(tmp_path / "v.csv", tmp_path / "m.csv")
+    write_mask_csv(tmp_path / "short.csv", np.ones((2, 2), dtype=int))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        read_matrix_csv(tmp_path / "v.csv", tmp_path / "short.csv")

@@ -7,6 +7,7 @@ from gapkit.graph import (
     DirectedGraph,
     FidelityKind,
     RecoveryConfig,
+    RegularizerKind,
     SmoothnessKind,
     UndirectedGraph,
     gmrf_learn,
@@ -375,3 +376,105 @@ def test_stsrgl_requires_observed_columns():
     Y = IncompleteMatrix(np.zeros((3, 3)), [[1, 0, 1], [1, 0, 1], [1, 0, 1]])
     with pytest.raises(ValueError, match="observed entry"):
         stsrgl_fit(Y)
+
+
+def test_recover_tikhonov_rejects_other_smoothness():
+    Y = IncompleteMatrix([[0.0], [0.0], [2.0]], [[1], [0], [1]])
+    for kind in SmoothnessKind:
+        if kind is SmoothnessKind.TIKHONOV:
+            continue
+        with pytest.raises(ValueError, match=kind.value):
+            recover_tikhonov(Y, PATH3, RecoveryConfig(smoothness=kind))
+
+
+# -- per-call work does not grow with the column count --------------------------
+
+
+def _gappy_field(n, seed=17, side=3):
+    W = grid_graph(side)
+    p = side * side
+    half, k = _gmrf_half(W)
+    rng = np.random.default_rng(seed)
+    X = np.zeros((p, n))
+    cur = half @ rng.standard_normal(k)
+    for t in range(n):
+        cur = 0.5 * cur + half @ rng.standard_normal(k)
+        X[:, t] = cur
+    mask = (rng.random((p, n)) > 0.4).astype(int)
+    mask[0, mask.sum(axis=0) == 0] = 1
+    return W, IncompleteMatrix(X + 0.1 * rng.standard_normal((p, n)), mask)
+
+
+def _count_filled(monkeypatch):
+    calls = []
+    original = IncompleteMatrix.filled
+
+    def counting(self, fill_value=0.0):
+        calls.append(1)
+        return original(self, fill_value)
+
+    monkeypatch.setattr(IncompleteMatrix, "filled", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda W, Y: stsrgl_fit(Y, iters=2, x_sweeps=2, a_steps=3, gmrf_iters=20),
+        lambda W, Y: recover_tv(Y, W, max_iter=5),
+        lambda W, Y: recover_tikhonov(Y, W, RecoveryConfig(fidelity=FidelityKind.SQUARED)),
+        lambda W, Y: recover_tikhonov(Y, W, RecoveryConfig(fidelity=FidelityKind.HUBER)),
+    ],
+    ids=["stsrgl_fit", "recover_tv", "tikhonov_squared", "tikhonov_huber"],
+)
+def test_filled_calls_constant_in_n(monkeypatch, run):
+    counts = []
+    for n in (40, 80):
+        W, Y = _gappy_field(n)
+        calls = _count_filled(monkeypatch)
+        run(W, Y)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 1
+
+
+def _huber_irls_lstsq(Y, W, cfg):
+    """Reference IRLS: one dense least-squares solve per reweighting."""
+    L = np.diag(W.sum(axis=1)) - W
+    beta = cfg.beta if cfg.regularizer is RegularizerKind.FROBENIUS else 0.0
+    y_full = Y.filled(0.0)
+    out = np.empty(Y.shape)
+    for j in range(Y.n):
+        m = Y.mask[:, j].astype(float)
+        x = y_full[:, j].copy()
+        for _ in range(cfg.max_iter):
+            a = np.abs(y_full[:, j] - x)
+            omega = m * np.where(a <= cfg.delta, 1.0, cfg.delta / np.maximum(a, 1e-300))
+            H = np.diag(omega) + 2.0 * cfg.alpha * L + 2.0 * beta * np.eye(Y.p)
+            x_new = np.linalg.lstsq(H, omega * y_full[:, j], rcond=None)[0]
+            done = np.abs(x_new - x).max() < cfg.tol * (1.0 + np.abs(x).max())
+            x = x_new
+            if done:
+                break
+        out[:, j] = x
+    return out
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        RecoveryConfig(fidelity=FidelityKind.HUBER, alpha=0.5, delta=0.05),
+        RecoveryConfig(
+            fidelity=FidelityKind.HUBER, alpha=0.2, beta=0.1, delta=0.1,
+            regularizer=RegularizerKind.FROBENIUS,
+        ),
+        RecoveryConfig(fidelity=FidelityKind.HUBER, alpha=0.0, beta=0.0, delta=0.1),
+    ],
+    ids=["alpha", "alpha_beta", "unregularized"],
+)
+def test_huber_recovery_matches_lstsq_reference(cfg):
+    W, Y = _gappy_field(30, seed=18)
+    W[4] = W[:, 4] = 0.0  # isolated node: the lstsq fallback path
+    rng = np.random.default_rng(19)
+    vals = Y.values + np.where(rng.random(Y.shape) < 0.1, 3.0, 0.0)  # outliers
+    Y = IncompleteMatrix(np.nan_to_num(vals), Y.mask)
+    assert_allclose(recover_tikhonov(Y, W, cfg), _huber_irls_lstsq(Y, W, cfg), rtol=0, atol=1e-10)
