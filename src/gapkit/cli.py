@@ -26,6 +26,7 @@ from .em import EmConfig, EVariant, MVariant, em_gaussian_fit, em_student_fit
 from .graph import (
     RecoveryConfig,
     FidelityKind,
+    RegularizerKind,
     UndirectedGraph,
     gmrf_learn,
     recover_tikhonov,
@@ -145,6 +146,10 @@ def _numbered(path, d):
 @click.option("--out", type=click.Path(), default=None)
 def estimate_cmd(in_path, mask_path, model, evariant, mvariant, structure, estimate_nu, tol, maxiter, seed, out):
     """EM parameter estimation; emits JSON with mu, sigma, nu and the trace."""
+    if structure and model == "student":
+        _fail_config("--structure applies to the gaussian model only")
+    if estimate_nu and model != "student":
+        _fail_config("--estimate-nu needs --model student")
     X = _load(in_path, mask_path)
     cfg = EmConfig(
         e_variant=EVariant(evariant),
@@ -320,17 +325,24 @@ def _write_edge_csv(path, pairs):
 @click.option("--smoothness", "smooth", type=click.Choice(["tikhonov", "tv"]), default="tikhonov")
 @click.option("--fidelity", type=click.Choice([v.value for v in FidelityKind]), default="exact")
 @click.option("--alpha", type=float, default=1.0)
-@click.option("--beta", type=float, default=0.0)
+@click.option("--beta", type=float, default=0.0, help="Frobenius weight (squared or huber fidelity)")
 @click.option("--out", type=click.Path(), required=True)
 def graph_recover_cmd(in_path, mask_path, graph_path, smooth, fidelity, alpha, beta, out):
     """Interpolate missing node signals on a known graph."""
+    if beta != 0 and (smooth == "tv" or fidelity == "exact"):
+        _fail_config("--beta applies to tikhonov smoothness with squared or huber fidelity only")
     Y = _load(in_path, mask_path)
     G = _read_edge_csv(graph_path, Y.p)
     try:
         if smooth == "tv":
             X = recover_tv(Y, G, alpha=alpha)
         else:
-            cfg = RecoveryConfig(fidelity=FidelityKind(fidelity), alpha=alpha, beta=beta)
+            cfg = RecoveryConfig(
+                fidelity=FidelityKind(fidelity),
+                alpha=alpha,
+                beta=beta,
+                regularizer=RegularizerKind.FROBENIUS,
+            )
             X = recover_tikhonov(Y, G, cfg)
     except ValueError as exc:
         _fail_config(exc)

@@ -7,6 +7,7 @@ that bypasses the mask poisons its output instead of silently reading garbage.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -68,6 +69,26 @@ class IncompleteMatrix:
 
     def n_missing(self) -> int:
         return int((self.mask == 0).sum())
+
+    @cached_property
+    def pattern_groups(self) -> tuple[tuple[NDArray, NDArray, NDArray], ...]:
+        """Columns grouped by identical mask column: ((obs, mis, cols), ...).
+
+        obs and mis are the ascending observed and missing row indices of the
+        pattern and cols the ascending indices of its columns. Groups come in
+        order of first appearance, so sums over groups run in a fixed order.
+        Computed once per matrix, as values and mask are read-only.
+        """
+        groups = {}
+        for j in range(self.n):
+            groups.setdefault(self.mask[:, j].tobytes(), []).append(j)
+        out = []
+        for key, cols in groups.items():
+            col_mask = np.frombuffer(key, dtype=np.int8)
+            obs = np.flatnonzero(col_mask == 1)
+            mis = np.flatnonzero(col_mask == 0)
+            out.append((obs, mis, np.array(cols)))
+        return tuple(out)
 
     def filled(self, fill_value: float = 0.0) -> NDArray:
         """Copy of values with missing entries replaced by fill_value."""

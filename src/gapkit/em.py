@@ -15,6 +15,7 @@ from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
+from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.special import gammaln, kv
 
 from .core import ColumnSplit, IncompleteMatrix, SeedSpec
@@ -187,8 +188,34 @@ class DensityGenerator:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian conditional moments and observed likelihood.
+# Gaussian conditioning on the observed block of each missing-data pattern.
 # ---------------------------------------------------------------------------
+
+
+def _condition(mu, sigma, obs, mis, x_o):
+    """Condition N(mu, sigma) on the observed rows of one pattern group.
+
+    x_o holds the observed values, one column per member of the group. S_oo
+    is Cholesky-factored once (S_oo = L L^T) and one triangular solve against
+    [x_o - mu_o | S_om] gives z = L^-1 (x_o - mu_o) and V = L^-1 S_om. Returns
+    (delta, logdet, mu_c, sigma_c): the Mahalanobis terms sum(z^2) per column,
+    log det S_oo, the conditional means mu_m + V^T z (one column per member)
+    and the conditional covariance S_mm - V^T V. An empty observed block
+    gives delta = 0, logdet = 0 and the marginal moments of the missing rows.
+    """
+    c = x_o.shape[1]
+    mu_m = mu[mis, None]
+    S_mm = sigma[np.ix_(mis, mis)]
+    if len(obs) == 0:
+        return np.zeros(c), 0.0, np.repeat(mu_m, c, axis=1), S_mm
+    L, info = dpotrf(sigma[np.ix_(obs, obs)], lower=1)
+    if info != 0:
+        raise ValueError("singular observed-block covariance")
+    ZV, _ = dtrtrs(L, np.hstack([x_o - mu[obs, None], sigma[np.ix_(obs, mis)]]), lower=1)
+    z, V = ZV[:, :c], ZV[:, c:]
+    delta = np.sum(z * z, axis=0)
+    logdet = 2.0 * np.sum(np.log(np.diag(L)))
+    return delta, logdet, mu_m + V.T @ z, S_mm - V.T @ V
 
 
 def conditional_gaussian(params: GaussianParams, split: ColumnSplit):
@@ -200,33 +227,19 @@ def conditional_gaussian(params: GaussianParams, split: ColumnSplit):
     o, m = split.observed_idx, split.missing_idx
     if len(m) == 0:
         return np.empty(0), np.empty((0, 0))
-    mu, sigma = params.mu, params.sigma
-    if len(o) == 0:
-        return mu[m].copy(), sigma[np.ix_(m, m)].copy()
-    S_oo = sigma[np.ix_(o, o)]
-    S_mo = sigma[np.ix_(m, o)]
-    try:
-        B = np.linalg.solve(S_oo, S_mo.T).T
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("singular observed-block covariance") from exc
-    mu_cond = mu[m] + B @ (split.x_o - mu[o])
-    sigma_cond = sigma[np.ix_(m, m)] - B @ S_mo.T
-    sigma_cond = 0.5 * (sigma_cond + sigma_cond.T)
-    return mu_cond, sigma_cond
+    _, _, mu_c, sigma_c = _condition(params.mu, params.sigma, o, m, split.x_o[:, None])
+    return mu_c[:, 0], 0.5 * (sigma_c + sigma_c.T)
 
 
-def _pattern_groups(X: IncompleteMatrix):
-    """Group column indices by identical mask columns: [(obs, mis, cols)]."""
-    groups = {}
-    for j in range(X.n):
-        groups.setdefault(X.mask[:, j].tobytes(), []).append(j)
-    out = []
-    for key, cols in groups.items():
-        col_mask = np.frombuffer(key, dtype=np.int8)
-        obs = np.flatnonzero(col_mask == 1)
-        mis = np.flatnonzero(col_mask == 0)
-        out.append((obs, mis, np.array(cols)))
-    return out
+def _observed_blocks(mu, sigma, X: IncompleteMatrix):
+    """[(k, logdet, delta)] of the pattern groups with k > 0 observed rows."""
+    no_rows = np.empty(0, dtype=np.intp)
+    blocks = []
+    for obs, _mis, cols in X.pattern_groups:
+        if len(obs) > 0:
+            delta, logdet, _, _ = _condition(mu, sigma, obs, no_rows, X.values[np.ix_(obs, cols)])
+            blocks.append((len(obs), logdet, delta))
+    return blocks
 
 
 def observed_loglik_gaussian(params: GaussianParams, X: IncompleteMatrix) -> float:
@@ -234,39 +247,20 @@ def observed_loglik_gaussian(params: GaussianParams, X: IncompleteMatrix) -> flo
 
     Fully missing columns contribute zero.
     """
-    mu, sigma = params.mu, params.sigma
     total = 0.0
-    for obs, _mis, cols in _pattern_groups(X):
-        k = len(obs)
-        if k == 0:
-            continue
-        S_oo = sigma[np.ix_(obs, obs)]
-        try:
-            L = np.linalg.cholesky(S_oo)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("singular observed-block covariance") from exc
-        dev = X.values[np.ix_(obs, cols)] - mu[obs, None]
-        z = np.linalg.solve(L, dev)
-        logdet = 2.0 * np.sum(np.log(np.diag(L)))
-        quad = np.sum(z * z, axis=0)
-        total += float(np.sum(-0.5 * (k * LOG_2PI + logdet + quad)))
+    for k, logdet, delta in _observed_blocks(params.mu, params.sigma, X):
+        total += float(np.sum(-0.5 * (k * LOG_2PI + logdet + delta)))
     return total
 
 
 def observed_loglik_student(params: StudentTParams, X: IncompleteMatrix) -> float:
     """Observed-marginal Student-t log likelihood (marginals keep nu)."""
-    mu, sigma, nu = params.mu, params.sigma, params.nu
+    return _student_loglik(_observed_blocks(params.mu, params.sigma, X), params.nu)
+
+
+def _student_loglik(blocks, nu):
     total = 0.0
-    for obs, _mis, cols in _pattern_groups(X):
-        k = len(obs)
-        if k == 0:
-            continue
-        S_oo = sigma[np.ix_(obs, obs)]
-        L = np.linalg.cholesky(S_oo)
-        dev = X.values[np.ix_(obs, cols)] - mu[obs, None]
-        z = np.linalg.solve(L, dev)
-        delta = np.sum(z * z, axis=0)
-        logdet = 2.0 * np.sum(np.log(np.diag(L)))
+    for k, logdet, delta in blocks:
         logc = (
             gammaln((nu + k) / 2.0)
             - gammaln(nu / 2.0)
@@ -278,56 +272,47 @@ def observed_loglik_student(params: StudentTParams, X: IncompleteMatrix) -> floa
 
 
 # ---------------------------------------------------------------------------
-# Moment accumulation (exact and sampled) shared by the EM drivers.
+# E-step statistics (exact, or from one conditional draw) and the EM loop.
 # ---------------------------------------------------------------------------
 
 
-def _exact_stats_gaussian(params, X, groups):
-    """Exact E-step sufficient statistics (sum x, sum xx^T + conditional cov)."""
-    p = params.p
-    S1 = np.zeros(p)
-    S2 = np.zeros((p, p))
-    for obs, mis, cols in groups:
+def _complete_gaussian(params: GaussianParams, X: IncompleteMatrix, rng=None):
+    """Copy of X.values with every hole set to its conditional mean or, given
+    rng, with each column's missing block drawn from its conditional."""
+    out = X.values.copy()
+    for obs, mis, cols in X.pattern_groups:
+        if len(mis) == 0:
+            continue
+        _, _, mu_c, sigma_c = _condition(
+            params.mu, params.sigma, obs, mis, X.values[np.ix_(obs, cols)]
+        )
+        if rng is not None:
+            mu_c = mu_c + _chol_psd(sigma_c) @ rng.standard_normal(mu_c.shape)
+        out[np.ix_(mis, cols)] = mu_c
+    return out
+
+
+def _gaussian_stats(params: GaussianParams, X: IncompleteMatrix, rng):
+    """Sufficient statistics (sum x, sum x x^T) of the completed columns.
+
+    Exact when rng is None: conditional means fill the holes and the
+    conditional covariance enters the missing block of the second moment.
+    Otherwise the statistics of one conditional draw.
+    """
+    if rng is not None:
+        Xc = _complete_gaussian(params, X, rng)
+        return Xc.sum(axis=1), Xc @ Xc.T
+    S1 = np.zeros(params.p)
+    S2 = np.zeros((params.p, params.p))
+    for obs, mis, cols in X.pattern_groups:
         Xc = X.values[:, cols].copy()
-        ncols = len(cols)
         if len(mis) > 0:
-            if len(obs) == 0:
-                mu_c = np.repeat(params.mu[mis, None], ncols, axis=1)
-                sig_c = params.sigma[np.ix_(mis, mis)]
-            else:
-                S_oo = params.sigma[np.ix_(obs, obs)]
-                S_mo = params.sigma[np.ix_(mis, obs)]
-                B = np.linalg.solve(S_oo, S_mo.T).T
-                dev = Xc[obs] - params.mu[obs, None]
-                mu_c = params.mu[mis, None] + B @ dev
-                sig_c = params.sigma[np.ix_(mis, mis)] - B @ S_mo.T
+            _, _, mu_c, sigma_c = _condition(params.mu, params.sigma, obs, mis, Xc[obs])
             Xc[mis] = mu_c
-            S2[np.ix_(mis, mis)] += ncols * sig_c
+            S2[np.ix_(mis, mis)] += len(cols) * sigma_c
         S1 += Xc.sum(axis=1)
         S2 += Xc @ Xc.T
     return S1, S2
-
-
-def _draw_completion_gaussian(params, X, groups, rng):
-    """One joint draw of all missing entries from the current conditionals."""
-    Xc = X.filled(0.0)
-    for obs, mis, cols in groups:
-        if len(mis) == 0:
-            continue
-        if len(obs) == 0:
-            mu_c = np.repeat(params.mu[mis, None], len(cols), axis=1)
-            sig_c = params.sigma[np.ix_(mis, mis)]
-        else:
-            S_oo = params.sigma[np.ix_(obs, obs)]
-            S_mo = params.sigma[np.ix_(mis, obs)]
-            B = np.linalg.solve(S_oo, S_mo.T).T
-            dev = X.values[np.ix_(obs, cols)] - params.mu[obs, None]
-            mu_c = params.mu[mis, None] + B @ dev
-            sig_c = params.sigma[np.ix_(mis, mis)] - B @ S_mo.T
-        L = _chol_psd(sig_c)
-        noise = L @ rng.standard_normal((len(mis), len(cols)))
-        Xc[np.ix_(mis, cols)] = mu_c + noise
-    return Xc
 
 
 def _chol_psd(S):
@@ -406,6 +391,48 @@ def default_gaussian_init(X: IncompleteMatrix) -> GaussianParams:
     return GaussianParams(mu, sigma)
 
 
+def _check_rows(X: IncompleteMatrix):
+    if (X.mask.sum(axis=1) < 2).any():
+        raise ValueError("every row must be observed at least twice")
+
+
+def _em_loop(X, params, cfg: EmConfig, stats, m_step, loglik, saem_draws=1) -> EmFit:
+    """Iterate E- and M-steps from params under cfg's E-variant.
+
+    stats(params, X, rng) returns a tuple of E-step statistics: the exact
+    ones when rng is None, else those of one conditional draw. SEM uses one
+    draw, MCEM averages cfg.mcem_draws draws, and SAEM averages saem_draws
+    draws and smooths them with the cfg.saem_gamma schedule. m_step(stats,
+    params) returns the next parameters. Stops when loglik(params, X) moves
+    less than cfg.tol.
+    """
+    rng = cfg.seed.rng()
+    n_draws = {EVariant.SEM: 1, EVariant.MCEM: cfg.mcem_draws, EVariant.SAEM: saem_draws}
+    trace = [loglik(params, X)]
+    mu_trace = [params.mu.copy()]
+    smooth = None  # SAEM running statistics
+    converged = False
+    it = 0
+    for it in range(1, cfg.max_iter + 1):
+        if cfg.e_variant is EVariant.EXACT:
+            cur = stats(params, X, None)
+        else:
+            draws = [stats(params, X, rng) for _ in range(n_draws[cfg.e_variant])]
+            cur = tuple(sum(s) / len(draws) for s in zip(*draws))
+        if cfg.e_variant is EVariant.SAEM:
+            if smooth is not None:
+                gamma = cfg.saem_gamma(it)
+                cur = tuple(s + gamma * (c - s) for s, c in zip(smooth, cur))
+            smooth = cur
+        params = m_step(cur, params)
+        trace.append(loglik(params, X))
+        mu_trace.append(params.mu.copy())
+        if abs(trace[-1] - trace[-2]) < cfg.tol:
+            converged = True
+            break
+    return EmFit(params, np.array(trace), converged, it, np.array(mu_trace))
+
+
 def em_gaussian_fit(
     X: IncompleteMatrix,
     init: GaussianParams | None = None,
@@ -419,54 +446,23 @@ def em_gaussian_fit(
     statistics. Stochastic E-variants replace the conditional expectation by
     draws. Stops when the observed log-likelihood moves less than cfg.tol.
     """
+    return _fit_gaussian(X, init, cfg)
+
+
+def _fit_gaussian(X, init, cfg, project=None) -> EmFit:
+    """em_gaussian_fit with project applied to the initial covariance and to
+    every M-step covariance (structured-covariance EM)."""
     cfg = cfg or EmConfig()
-    counts = X.mask.sum(axis=1)
-    if (counts < 2).any():
-        raise ValueError("every row must be observed at least twice")
+    _check_rows(X)
     params = init if init is not None else default_gaussian_init(X)
-    groups = _pattern_groups(X)
-    n = X.n
-    rng = cfg.seed.rng()
-    trace = [observed_loglik_gaussian(params, X)]
-    mu_trace = [params.mu.copy()]
-    smooth = None  # SAEM running statistics
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
-        if cfg.e_variant is EVariant.EXACT:
-            S1, S2 = _exact_stats_gaussian(params, X, groups)
-        elif cfg.e_variant is EVariant.SEM:
-            Xc = _draw_completion_gaussian(params, X, groups, rng)
-            S1, S2 = Xc.sum(axis=1), Xc @ Xc.T
-        elif cfg.e_variant is EVariant.MCEM:
-            S1 = np.zeros(X.p)
-            S2 = np.zeros((X.p, X.p))
-            for _ in range(cfg.mcem_draws):
-                Xc = _draw_completion_gaussian(params, X, groups, rng)
-                S1 += Xc.sum(axis=1)
-                S2 += Xc @ Xc.T
-            S1 /= cfg.mcem_draws
-            S2 /= cfg.mcem_draws
-        else:  # SAEM
-            Xc = _draw_completion_gaussian(params, X, groups, rng)
-            gamma = cfg.saem_gamma(it)
-            cur = (Xc.sum(axis=1), Xc @ Xc.T)
-            if smooth is None:
-                smooth = cur
-            else:
-                smooth = (
-                    smooth[0] + gamma * (cur[0] - smooth[0]),
-                    smooth[1] + gamma * (cur[1] - smooth[1]),
-                )
-            S1, S2 = smooth
-        mu, sigma = _m_step_gaussian(S1, S2, n, cfg, params)
-        params = GaussianParams(mu, sigma)
-        trace.append(observed_loglik_gaussian(params, X))
-        mu_trace.append(params.mu.copy())
-        if abs(trace[-1] - trace[-2]) < cfg.tol:
-            converged = True
-            break
-    return EmFit(params, np.array(trace), converged, it, np.array(mu_trace))
+    if project is not None:
+        params = GaussianParams(params.mu.copy(), project(params.sigma))
+
+    def m_step(stats, prev):
+        mu, sigma = _m_step_gaussian(*stats, X.n, cfg, prev)
+        return GaussianParams(mu, sigma if project is None else project(sigma))
+
+    return _em_loop(X, params, cfg, _gaussian_stats, m_step, observed_loglik_gaussian)
 
 
 # ---------------------------------------------------------------------------
@@ -476,58 +472,39 @@ def em_gaussian_fit(
 NU_GRID = np.geomspace(1.0, 100.0, 25)
 
 
-def _student_stats(params: StudentTParams, X, groups, rng, e_variant, n_draws=1):
-    """Texture-weighted sufficient statistics for the Student-t E-step.
+def _student_stats(params: StudentTParams, X: IncompleteMatrix, rng):
+    """Texture-weighted statistics (sum w, sum w x, sum w x x^T).
 
-    Exact mode uses the Gamma-posterior mean weight (nu + p_o)/(nu + delta_o)
-    and closed-form conditional moments given the texture; sampled modes draw
-    the texture from its Gamma conditional and the missing block from the
-    Gaussian conditional at that texture.
+    Exact when rng is None: the Gamma-posterior mean weight
+    (nu + p_o)/(nu + delta_o) and closed-form conditional moments given the
+    texture. Otherwise one draw: the texture from its Gamma conditional and
+    the missing block from the Gaussian conditional at that texture.
     """
     p = params.p
     mu, sigma, nu = params.mu, params.sigma, params.nu
     Sw = 0.0  # sum of weights
     S1 = np.zeros(p)  # sum of weighted completed vectors
     S2 = np.zeros((p, p))  # sum of weighted second moments
-    draws = 1 if e_variant is EVariant.EXACT else n_draws
-    for _ in range(draws):
-        for obs, mis, cols in groups:
-            ncols = len(cols)
-            Xc = X.values[:, cols].copy()
-            k = len(obs)
-            if k > 0:
-                S_oo = sigma[np.ix_(obs, obs)]
-                L = np.linalg.cholesky(S_oo)
-                dev = Xc[obs] - mu[obs, None]
-                z = np.linalg.solve(L, dev)
-                delta = np.sum(z * z, axis=0)
+    for obs, mis, cols in X.pattern_groups:
+        Xc = X.values[:, cols].copy()
+        k = len(obs)
+        delta, _, mu_c, sigma_c = _condition(mu, sigma, obs, mis, Xc[obs])
+        if rng is None:
+            w = (nu + k) / (nu + delta)
+        else:
+            w = rng.gamma((nu + k) / 2.0, 2.0 / (nu + delta))
+        if len(mis) > 0:
+            if rng is None:
+                Xc[mis] = mu_c
+                # E[tau * (x_m - mu_c)(x_m - mu_c)^T] = Sigma_m|o
+                S2[np.ix_(mis, mis)] += len(cols) * sigma_c
             else:
-                delta = np.zeros(ncols)
-            if e_variant is EVariant.EXACT:
-                w = (nu + k) / (nu + delta)
-            else:
-                w = rng.gamma((nu + k) / 2.0, 2.0 / (nu + delta))
-            if len(mis) > 0:
-                if k == 0:
-                    mu_c = np.repeat(mu[mis, None], ncols, axis=1)
-                    sig_c = sigma[np.ix_(mis, mis)]
-                else:
-                    S_mo = sigma[np.ix_(mis, obs)]
-                    B = np.linalg.solve(S_oo, S_mo.T).T
-                    mu_c = mu[mis, None] + B @ dev
-                    sig_c = sigma[np.ix_(mis, mis)] - B @ S_mo.T
-                if e_variant is EVariant.EXACT:
-                    Xc[mis] = mu_c
-                    # E[tau * (x_m - mu_c)(x_m - mu_c)^T] = Sigma_m|o
-                    S2[np.ix_(mis, mis)] += ncols * sig_c
-                else:
-                    Lc = _chol_psd(sig_c)
-                    noise = Lc @ rng.standard_normal((len(mis), ncols))
-                    Xc[mis] = mu_c + noise / np.sqrt(w)[None, :]
-            Sw += float(w.sum())
-            S1 += Xc @ w
-            S2 += (Xc * w) @ Xc.T
-    return Sw / draws, S1 / draws, S2 / draws
+                noise = _chol_psd(sigma_c) @ rng.standard_normal(mu_c.shape)
+                Xc[mis] = mu_c + noise / np.sqrt(w)[None, :]
+        Sw += float(w.sum())
+        S1 += Xc @ w
+        S2 += (Xc * w) @ Xc.T
+    return Sw, S1, S2
 
 
 def em_student_fit(
@@ -540,53 +517,35 @@ def em_student_fit(
 
     nu is held fixed unless estimate_nu is set, in which case it is profiled
     over a log-spaced grid by direct maximization of the observed Student-t
-    log likelihood (the observed-likelihood block of the ECME scheme).
+    log likelihood (the observed-likelihood block of the ECME scheme). Given
+    the texture weights the M-step for (mu, sigma) is closed form, so FULL,
+    ECM and ECME coincide; GEM is rejected. SEM draws once per iteration;
+    MCEM averages cfg.mcem_draws draws, and so does SAEM before smoothing.
     """
     cfg = cfg or EmConfig()
-    counts = X.mask.sum(axis=1)
-    if (counts < 2).any():
-        raise ValueError("every row must be observed at least twice")
+    if cfg.m_variant is MVariant.GEM:
+        raise ValueError("the Student-t M-step is closed form; GEM is not supported")
+    _check_rows(X)
     if init is None:
         g = default_gaussian_init(X)
         init = StudentTParams(g.mu, g.sigma, 10.0)
     params = StudentTParams(init.mu.copy(), init.sigma.copy(), init.nu)
-    groups = _pattern_groups(X)
-    n = X.n
-    rng = cfg.seed.rng()
-    trace = [observed_loglik_student(params, X)]
-    mu_trace = [params.mu.copy()]
-    smooth = None
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
-        stats = _student_stats(
-            params, X, groups, rng, cfg.e_variant, n_draws=cfg.mcem_draws
-        )
-        if cfg.e_variant is EVariant.SAEM:
-            gamma = cfg.saem_gamma(it)
-            if smooth is None:
-                smooth = stats
-            else:
-                smooth = tuple(s + gamma * (c - s) for s, c in zip(smooth, stats))
-            stats = smooth
+
+    def m_step(stats, prev):
         Sw, S1, S2 = stats
         mu = S1 / Sw
-        sigma = _spd_floor((S2 - Sw * np.outer(mu, mu)) / n)
-        nu = params.nu
+        sigma = _spd_floor((S2 - Sw * np.outer(mu, mu)) / X.n)
+        nu = prev.nu
         if estimate_nu:
-            cand = StudentTParams(mu, sigma, 1.0)
-            lls = []
-            for nu_c in NU_GRID:
-                cand.nu = nu_c
-                lls.append(observed_loglik_student(cand, X))
+            blocks = _observed_blocks(mu, sigma, X)
+            lls = [_student_loglik(blocks, nu_c) for nu_c in NU_GRID]
             nu = float(NU_GRID[int(np.argmax(lls))])
-        params = StudentTParams(mu, sigma, nu)
-        trace.append(observed_loglik_student(params, X))
-        mu_trace.append(params.mu.copy())
-        if abs(trace[-1] - trace[-2]) < cfg.tol:
-            converged = True
-            break
-    return EmFit(params, np.array(trace), converged, it, np.array(mu_trace))
+        return StudentTParams(mu, sigma, nu)
+
+    return _em_loop(
+        X, params, cfg, _student_stats, m_step, observed_loglik_student,
+        saem_draws=cfg.mcem_draws,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,19 @@ from numpy.typing import NDArray
 from scipy.linalg import cho_factor, cho_solve
 
 from .core import IncompleteMatrix
-from .em import _pattern_groups
+
+
+def _laplacian(W: NDArray) -> NDArray:
+    """Combinatorial Laplacian diag(W 1) - W."""
+    return np.diag(W.sum(axis=1)) - W
+
+
+def _innovations(X: NDArray, A: NDArray) -> NDArray:
+    """Lag-one innovations x_t - A x_{t-1}; the first column is its own."""
+    E = np.empty_like(X)
+    E[:, 0] = X[:, 0]
+    E[:, 1:] = X[:, 1:] - A @ X[:, :-1]
+    return E
 
 
 class UndirectedGraph:
@@ -43,7 +55,7 @@ class UndirectedGraph:
 
     @property
     def L(self) -> NDArray:
-        return np.diag(self.W.sum(axis=1)) - self.W
+        return _laplacian(self.W)
 
     @classmethod
     def from_edges(cls, p: int, edges) -> "UndirectedGraph":
@@ -118,7 +130,7 @@ def smoothness(X: NDArray, W: NDArray, kind: SmoothnessKind, p_norm: int = 2) ->
     X = np.atleast_2d(np.asarray(X, dtype=float))
     W = np.asarray(W, dtype=float)
     if kind is SmoothnessKind.TIKHONOV:
-        L = np.diag(W.sum(axis=1)) - W
+        L = _laplacian(W)
         return float(np.trace(X.T @ L @ X))
     if kind is SmoothnessKind.TV:
         iu = np.triu_indices(W.shape[0], k=1)
@@ -128,7 +140,7 @@ def smoothness(X: NDArray, W: NDArray, kind: SmoothnessKind, p_norm: int = 2) ->
         D = np.empty_like(X)
         D[:, 0] = X[:, 0]
         D[:, 1:] = X[:, 1:] - X[:, :-1]
-        L = np.diag(W.sum(axis=1)) - W
+        L = _laplacian(W)
         return float(np.trace(D.T @ L @ D))
     norm_W = np.linalg.norm(W)  # Frobenius
     if norm_W == 0:
@@ -166,10 +178,10 @@ def recover_tikhonov(
     if cfg.regularizer is RegularizerKind.NUCLEAR:
         raise ValueError("nuclear-norm regularization lives in the completion module")
     W = W.W if isinstance(W, UndirectedGraph) else np.asarray(W, dtype=float)
-    L = np.diag(W.sum(axis=1)) - W
+    L = _laplacian(W)
     out = Y.values.copy()
     if cfg.fidelity is FidelityKind.EXACT:
-        for obs, mis, cols in _pattern_groups(Y):
+        for obs, mis, cols in Y.pattern_groups:
             if len(mis) == 0:
                 continue
             L_mm = L[np.ix_(mis, mis)]
@@ -186,7 +198,7 @@ def recover_tikhonov(
     base = 2.0 * cfg.alpha * L + 2.0 * beta * np.eye(Y.p)
     y_full = Y.filled(0.0)
     if cfg.fidelity is FidelityKind.SQUARED:
-        for obs, _mis, cols in _pattern_groups(Y):
+        for obs, _mis, cols in Y.pattern_groups:
             H = base.copy()
             H[obs, obs] += 2.0
             rhs = 2.0 * y_full[:, cols]
@@ -247,7 +259,7 @@ def recover_tv(
     thr = (alpha * we / rho)[:, None]
     y_full = Y.filled(0.0)
     out = Y.values.copy()
-    for obs, mis, cols in _pattern_groups(Y):
+    for obs, mis, cols in Y.pattern_groups:
         if len(mis) == 0:
             continue
         try:
@@ -435,12 +447,10 @@ class StsrglResult:
 
 def _stsrgl_objective(X, A, Wm, Yz, mask, sigma_n2, alpha_a, alpha_l):
     p, n = X.shape
-    L = np.diag(Wm.sum(axis=1)) - Wm
+    L = _laplacian(Wm)
     resid = np.where(mask == 1, Yz - X, 0.0)
     fid = float(np.sum(resid**2)) / (2.0 * sigma_n2)
-    E = np.empty_like(X)
-    E[:, 0] = X[:, 0]
-    E[:, 1:] = X[:, 1:] - A @ X[:, :-1]
+    E = _innovations(X, A)
     S_eps = E @ E.T / n
     sign, logdet = np.linalg.slogdet(L + np.full((p, p), 1.0 / p))
     if sign <= 0:
@@ -487,19 +497,13 @@ def stsrgl_fit(
     A = np.zeros((p, p))
     iu, ju = np.triu_indices(p, k=1)
 
-    def innov(Xc, Ac):
-        E = np.empty_like(Xc)
-        E[:, 0] = Xc[:, 0]
-        E[:, 1:] = Xc[:, 1:] - Ac @ Xc[:, :-1]
-        return E
-
-    E = innov(X, A)
+    E = _innovations(X, A)
     g = gmrf_learn(E @ E.T / n, alpha_l, max_iter=gmrf_iters)
     Wm = g.W.copy()
     w_vec = Wm[iu, ju]
     trace = [_stsrgl_objective(X, A, Wm, Yz, Y.mask, sigma_n2, alpha_a, alpha_l)]
     for _cycle in range(iters):
-        L = np.diag(Wm.sum(axis=1)) - Wm
+        L = _laplacian(Wm)
         # (a) signal given the graphs: exact column-wise minimization
         ALA = A.T @ L @ A
         LA = L @ A
@@ -530,7 +534,7 @@ def stsrgl_fit(
             A_new = np.sign(A_new) * np.maximum(np.abs(A_new) - step * alpha_a, 0.0)
             A = A_new
         # (c) Laplacian on the innovation second moments (warm start)
-        E = innov(X, A)
+        E = _innovations(X, A)
         g = gmrf_learn(E @ E.T / n, alpha_l, w0=w_vec, max_iter=gmrf_iters)
         Wm = g.W.copy()
         w_vec = Wm[iu, ju]

@@ -7,8 +7,8 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import IncompleteMatrix, SeedSpec, split_column
-from .em import GaussianParams, _chol_psd, _pattern_groups, conditional_gaussian
+from .core import IncompleteMatrix, SeedSpec
+from .em import GaussianParams, _complete_gaussian
 
 DIVERGENCE_CAP = 1e8
 
@@ -122,31 +122,7 @@ def impute_conditional_gaussian(
     seed: SeedSpec = SeedSpec(0),
 ) -> NDArray:
     """Fill holes with the Gaussian conditional mean, or a conditional draw."""
-    rng = seed.rng()
-    out = X.values.copy()
-    for obs, mis, cols in _pattern_groups(X):
-        if len(mis) == 0:
-            continue
-        sigma, mu = params.sigma, params.mu
-        if len(obs) == 0:
-            mu_c = np.repeat(mu[mis, None], len(cols), axis=1)
-            sig_c = sigma[np.ix_(mis, mis)]
-        else:
-            S_oo = sigma[np.ix_(obs, obs)]
-            S_mo = sigma[np.ix_(mis, obs)]
-            try:
-                B = np.linalg.solve(S_oo, S_mo.T).T
-            except np.linalg.LinAlgError as exc:
-                raise ValueError("singular observed-block covariance") from exc
-            dev = X.values[np.ix_(obs, cols)] - mu[obs, None]
-            mu_c = mu[mis, None] + B @ dev
-            sig_c = sigma[np.ix_(mis, mis)] - B @ S_mo.T
-        fill = mu_c
-        if add_noise:
-            L = _chol_psd(sig_c)
-            fill = mu_c + L @ rng.standard_normal(mu_c.shape)
-        out[np.ix_(mis, cols)] = fill
-    return out
+    return _complete_gaussian(params, X, seed.rng() if add_noise else None)
 
 
 @dataclass

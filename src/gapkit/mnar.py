@@ -14,13 +14,10 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import IncompleteMatrix, SeedSpec
+from .mechanisms import _sigmoid
 
 REJECTION_BUDGET = 10_000
 GRID_POINTS = 64
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -500.0, 500.0)))
 
 
 @dataclass

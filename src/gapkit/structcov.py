@@ -1,8 +1,10 @@
-"""Structured-covariance projections and the constrained-M-step EM wrapper.
+"""Structured-covariance projections and structured-covariance EM.
 
 Two structure sets are supported: a factor model (scaled identity plus a
 rank-r PSD part) and a noise-floored set whose eigenvalues may not drop below
-a known white-noise power.
+a known white-noise power. Structured EM is the Gaussian EM driver with the
+covariance projected onto the set after every M-step, so it honours the E-
+and M-variants of its EmConfig.
 """
 from __future__ import annotations
 
@@ -13,16 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import IncompleteMatrix
-from .em import (
-    EmConfig,
-    GaussianParams,
-    _exact_stats_gaussian,
-    _pattern_groups,
-    _q_gaussian,
-    _spd_floor,
-    default_gaussian_init,
-    observed_loglik_gaussian,
-)
+from .em import EmConfig, EmFit, GaussianParams, _fit_gaussian
 
 
 class StructureKind(Enum):
@@ -79,49 +72,19 @@ def project_fml(Sigma_hat: NDArray, sigma_known: float) -> NDArray:
     return 0.5 * (out + out.T)
 
 
-@dataclass
-class StructuredEmFit:
-    params: GaussianParams
-    loglik_trace: NDArray
-    q_trace: NDArray
-    converged: bool
-    n_iter: int
-
-
 def em_structured_fit(
     X: IncompleteMatrix,
     structure: CovStructure,
     cfg: EmConfig | None = None,
     init: GaussianParams | None = None,
-) -> StructuredEmFit:
-    """Gaussian EM whose M-step covariance is projected onto the structure set.
+) -> EmFit:
+    """Gaussian EM whose covariance is projected onto the structure set.
 
-    The mean update stays unconstrained. For the noise-floor structure the
-    projection is the exact constrained maximizer of the surrogate, so the
-    observed log-likelihood trace is nondecreasing; the factor-model
-    projection is generalized-EM style and only the recorded surrogate values
-    make that explicit.
+    This is em_gaussian_fit, E- and M-variants included, with
+    structure.project applied to the initial covariance and to every M-step
+    covariance; the mean update stays unconstrained. For the noise-floor
+    structure the projection of the full M-step is the exact constrained
+    maximizer of the surrogate, so the exact-EM observed log-likelihood trace
+    is nondecreasing; the factor-model projection is generalized-EM style.
     """
-    cfg = cfg or EmConfig()
-    if (X.mask.sum(axis=1) < 2).any():
-        raise ValueError("every row must be observed at least twice")
-    params = init if init is not None else default_gaussian_init(X)
-    params = GaussianParams(params.mu.copy(), structure.project(params.sigma))
-    groups = _pattern_groups(X)
-    n = X.n
-    trace = [observed_loglik_gaussian(params, X)]
-    q_trace = []
-    converged = False
-    it = 0
-    for it in range(1, cfg.max_iter + 1):
-        S1, S2 = _exact_stats_gaussian(params, X, groups)
-        mu = S1 / n
-        sigma_raw = _spd_floor(S2 / n - np.outer(mu, mu))
-        sigma = structure.project(sigma_raw)
-        params = GaussianParams(mu, sigma)
-        q_trace.append(_q_gaussian(mu, sigma, S1, S2, n))
-        trace.append(observed_loglik_gaussian(params, X))
-        if abs(trace[-1] - trace[-2]) < cfg.tol:
-            converged = True
-            break
-    return StructuredEmFit(params, np.array(trace), np.array(q_trace), converged, it)
+    return _fit_gaussian(X, init, cfg, project=structure.project)

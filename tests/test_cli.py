@@ -341,3 +341,38 @@ def test_gapkit_threads_env(runner, tmp_path, monkeypatch):
     assert res2.exit_code == 0
     # aggregation is sorted, so outputs agree regardless of thread count
     assert (out1 / "results.csv").read_text() == (out2 / "results.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--model", "student", "--structure", "factor:1"], "--structure"),
+        (["--estimate-nu"], "--estimate-nu"),
+        (["--model", "student", "--mvariant", "gem"], "GEM"),
+    ],
+)
+def test_estimate_rejects_ignored_combinations(runner, tmp_path, extra, message):
+    data = tmp_path / "x.csv"
+    _write_gappy_matrix(data, seed=6)
+    res = runner.invoke(main, ["estimate", "--in", str(data), *extra])
+    assert res.exit_code == 2
+    assert message in res.output
+
+
+def test_graph_recover_beta_acts_under_squared_fidelity(runner, tmp_path):
+    edges = tmp_path / "g.csv"
+    edges.write_text("0,1,1.0\n1,2,1.0\n", encoding="utf-8")
+    data = tmp_path / "sig.csv"
+    write_matrix_csv(data, np.array([[1.0, 3.0], [np.nan, np.nan], [2.0, 4.0]]))
+    base = ["graph", "recover", "--in", str(data), "--graph", str(edges)]
+    outs = []
+    for beta in ("0", "5"):
+        out = tmp_path / f"rec{beta}.csv"
+        res = runner.invoke(main, [*base, "--fidelity", "squared", "--beta", beta, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        outs.append(out.read_bytes())
+    assert outs[0] != outs[1]
+    for flags in (["--fidelity", "exact"], ["--smoothness", "tv"]):
+        res = runner.invoke(main, [*base, *flags, "--beta", "5", "--out", str(tmp_path / "x.csv")])
+        assert res.exit_code == 2
+        assert "--beta" in res.output

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gapkit.core import (
@@ -179,3 +181,26 @@ def test_csv_sidecar_mask_rejects_observed_empty_field(tmp_path):
     write_mask_csv(tmp_path / "short.csv", np.ones((2, 2), dtype=int))
     with pytest.raises(ValueError, match="shape mismatch"):
         read_matrix_csv(tmp_path / "v.csv", tmp_path / "short.csv")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda p: st.lists(st.lists(st.integers(0, 1), min_size=p, max_size=p), min_size=1, max_size=12)
+    )
+)
+def test_pattern_groups_partition_columns(mask_cols):
+    mask = np.array(mask_cols, dtype=np.int8).T
+    X = IncompleteMatrix(np.ones(mask.shape), mask)
+    groups = X.pattern_groups
+    cols = np.concatenate([g[2] for g in groups])
+    assert sorted(cols.tolist()) == list(range(X.n))
+    for obs, mis, members in groups:
+        assert (mask[:, members] == mask[:, members[:1]]).all()
+        assert np.array_equal(np.flatnonzero(mask[:, members[0]]), obs)
+        assert np.array_equal(np.sort(np.concatenate([obs, mis])), np.arange(X.p))
+        assert len(np.intersect1d(obs, mis)) == 0
+        assert np.array_equal(members, np.sort(members))
+    firsts = [g[2][0] for g in groups]
+    assert firsts == sorted(firsts)  # first-appearance order
+    assert X.pattern_groups is groups

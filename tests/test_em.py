@@ -91,6 +91,31 @@ def test_conditional_singular_block():
         conditional_gaussian(params, _split([0, 1], [2], [1.0, 1.0]))
 
 
+def test_condition_kernel_matches_solve_reference():
+    from gapkit.em import _condition
+
+    rng = np.random.default_rng(50)
+    A = rng.standard_normal((5, 5))
+    sigma = A @ A.T + 0.5 * np.eye(5)
+    mu = rng.standard_normal(5)
+    for obs, mis in (([0, 2, 3], [1, 4]), ([0, 1, 2, 3, 4], []), ([], [0, 1, 2, 3, 4])):
+        obs, mis = np.array(obs, dtype=int), np.array(mis, dtype=int)
+        x_o = rng.standard_normal((len(obs), 4))
+        delta, logdet, mu_c, sigma_c = _condition(mu, sigma, obs, mis, x_o)
+        S_oo, S_mo = sigma[np.ix_(obs, obs)], sigma[np.ix_(mis, obs)]
+        dev = x_o - mu[obs, None]
+        B = np.linalg.solve(S_oo, S_mo.T).T if len(obs) else np.zeros((len(mis), 0))
+        ref_delta = np.sum(dev * np.linalg.solve(S_oo, dev), axis=0) if len(obs) else np.zeros(4)
+        ref_logdet = np.linalg.slogdet(S_oo)[1] if len(obs) else 0.0
+        assert_allclose(delta, ref_delta, rtol=1e-12)
+        assert_allclose(logdet, ref_logdet, rtol=1e-12)
+        assert_allclose(mu_c, mu[mis, None] + B @ dev, rtol=1e-12)
+        assert_allclose(sigma_c, sigma[np.ix_(mis, mis)] - B @ S_mo.T, rtol=1e-12, atol=1e-14)
+    dup = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ValueError, match="singular observed-block covariance"):
+        _condition(np.zeros(3), dup, np.array([0, 1]), np.array([2]), np.ones((2, 1)))
+
+
 # -- observed log likelihood --------------------------------------------------
 
 
@@ -295,10 +320,26 @@ def test_student_texture_weight_at_center():
     nu = 5.0
     params = StudentTParams([2.0], [[1.0]], nu)
     X = IncompleteMatrix([[2.0]], [[1]])
-    from gapkit.em import _pattern_groups, _student_stats
+    from gapkit.em import _student_stats
 
-    Sw, S1, S2 = _student_stats(params, X, _pattern_groups(X), None, EVariant.EXACT)
+    Sw, S1, S2 = _student_stats(params, X, None)
     assert_allclose(Sw, (nu + 1) / nu)
+
+
+def test_student_sem_is_one_draw_mcem():
+    X, _ = _student_data(42, n=200)
+    init = StudentTParams(np.zeros(2), np.eye(2), 4.0)
+    sem = em_student_fit(X, init=init, cfg=EmConfig(e_variant=EVariant.SEM, max_iter=10, tol=1e-30, seed=SeedSpec(3)))
+    one = EmConfig(e_variant=EVariant.MCEM, mcem_draws=1, max_iter=10, tol=1e-30, seed=SeedSpec(3))
+    mcem = em_student_fit(X, init=init, cfg=one)
+    assert np.array_equal(sem.mu_trace, mcem.mu_trace)
+    assert np.array_equal(sem.params.sigma, mcem.params.sigma)
+
+
+def test_student_rejects_gem():
+    X, _ = _student_data(43, n=50)
+    with pytest.raises(ValueError, match="GEM"):
+        em_student_fit(X, cfg=EmConfig(m_variant=MVariant.GEM))
 
 
 def test_student_beats_gaussian_with_outlier():

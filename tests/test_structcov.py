@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gapkit.core import IncompleteMatrix, SeedSpec
-from gapkit.em import EmConfig, em_gaussian_fit
+from gapkit.em import EmConfig, EVariant, em_gaussian_fit
 from gapkit.mechanisms import MechanismKind, MechanismSpec, gen_mask
 from gapkit.structcov import (
     CovStructure,
@@ -148,3 +148,16 @@ def test_structured_factor_beats_unconstrained_on_model_data():
         e_fact = np.linalg.norm(fact.params.sigma - sigma_true)
         wins += e_fact < e_plain
     assert wins >= int(0.7 * reps)
+
+
+def test_structured_fit_honours_e_variant():
+    X, _, _ = _mcar_gaussian(9, p=4, n=200, rate=0.3)
+    factor = CovStructure(StructureKind.FACTOR_MODEL, r=1)
+    exact = em_structured_fit(X, factor, cfg=EmConfig(max_iter=30, tol=1e-30))
+    saem = EmConfig(e_variant=EVariant.SAEM, max_iter=30, tol=1e-30, seed=SeedSpec(5))
+    first = em_structured_fit(X, factor, cfg=saem)
+    again = em_structured_fit(X, factor, cfg=saem)
+    assert not np.array_equal(first.params.sigma, exact.params.sigma)
+    assert np.array_equal(first.params.sigma, again.params.sigma)
+    assert np.array_equal(first.loglik_trace, again.loglik_trace)
+    assert_allclose(project_factor_model(first.params.sigma, 1), first.params.sigma, atol=1e-10)
