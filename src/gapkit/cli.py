@@ -89,7 +89,7 @@ def mask_cmd(mechanism, shape, data_path, rate, phi0, phi1, driver_row, seed, ou
     )
     X = None
     if data_path is not None:
-        X = read_matrix_csv(data_path).values
+        X = _load(data_path, None).values
         shape = X.shape
     if shape is None:
         _fail_config("either --shape or --data is required")
@@ -274,17 +274,31 @@ def complete_cmd(in_path, mask_path, mode, rank, lam, tol, maxiter, out):
 def track_cmd(stream, mode, rank, forget, rho, alpha, truth, seed, out):
     """Stream a gappy matrix through the subspace tracker; per-step CSV out."""
     Y = _load(stream, None)
-    U_true = read_matrix_csv(truth).values if truth else None
-    state = petrels_init(Y.p, rank, SeedSpec(seed), lambda_forget=forget)
-    cfg = RobustConfig(rho=rho, alpha_reg=alpha)
+    try:
+        state = petrels_init(Y.p, rank, SeedSpec(seed), lambda_forget=forget)
+        cfg = RobustConfig(rho=rho, alpha_reg=alpha)
+    except ValueError as exc:
+        _fail_config(exc)
+    U_true = None
+    if truth:
+        T = _load(truth, None)
+        if T.n_missing() > 0:
+            _fail_config(f"--truth {truth} has missing entries")
+        if T.shape != (Y.p, rank):
+            _fail_config(f"--truth must be {Y.p} x {rank} (p x rank), got {T.p} x {T.n}")
+        if np.linalg.matrix_rank(T.values) < rank:
+            _fail_config(f"--truth {truth} is a rank-deficient basis")
+        U_true = T.values
+    # One row per step, built once: a step must not copy the whole stream.
+    steps = zip(np.ascontiguousarray(Y.filled(0.0).T), np.ascontiguousarray(Y.mask.T))
     lines = ["t,residual" + (",sep" if U_true is not None else "")]
-    for t in range(Y.n):
-        y_t = Y.filled(0.0)[:, t]
-        m_t = Y.mask[:, t]
+    for t, (y_t, m_t) in enumerate(steps):
         if mode == "petrels":
             petrels_update(state, y_t, m_t)
         else:
             robust_update(state, y_t, m_t, cfg)
+        # Not a repeat of the solve inside the update: the residual is taken
+        # under the updated basis.
         w, _ = petrels_weights(state.U, y_t, m_t)
         resid = np.linalg.norm(m_t * (y_t - state.U @ w))
         row = f"{t},{format_float(resid)}"

@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binomtest
 
 from . import __version__
 from .completion import hard_impute, soft_impute
@@ -348,6 +347,8 @@ def compare_methods(configs: list[ExperimentConfig]) -> list[ComparisonRow]:
     test on the paired per-replicate metric differences against the baseline
     (p = 1 when nothing differs, as in a self-comparison).
     """
+    from scipy.stats import binomtest
+
     if len(configs) < 2:
         raise ConfigError("compare_methods needs at least two configs")
     head = configs[0]

@@ -99,7 +99,9 @@ def _rls_row_updates(state, obs, y_t, w, weight=1.0):
     Rinv = state.row_prec[obs]
     v = Rinv @ w  # (k, r)
     denom = lam + weight * (v @ w)  # (k,)
-    Rinv_new = (Rinv - weight * v[:, :, None] * v[:, None, :] / denom[:, None, None]) / lam
+    # The outer product is formed before the weight multiplies it, so Rinv_new
+    # stays exactly symmetric for any weight (eigvalsh reads one triangle).
+    Rinv_new = (Rinv - v[:, :, None] * v[:, None, :] * weight / denom[:, None, None]) / lam
     resid = y_t[obs] - state.U[obs] @ w
     state.U[obs] += weight * resid[:, None] * (Rinv_new @ w)
     eig = np.linalg.eigvalsh(Rinv_new)
@@ -125,11 +127,13 @@ def petrels_update(state: TrackerState, y_t: NDArray, m_t: NDArray) -> TrackerSt
 
 
 def robust_stage1(U: NDArray, y_t: NDArray, m_t: NDArray, cfg: RobustConfig) -> Stage1Result:
-    """Alternating solve of the outlier-plus-weights objective.
+    """Alternating minimization of the outlier-plus-weights objective.
 
     Minimizes ||m o (U w + s - y)||^2 + rho * ||s||_1 by exact block updates:
     least squares in w given s, entrywise soft-thresholding at rho / 2 in s
-    given w. The objective is nonincreasing across iterations.
+    given w. The objective is nonincreasing across iterations. The loop is
+    not ADMM; the ``admm_iters`` / ``admm_tol`` config names are kept for
+    compatibility.
     """
     y_t = np.asarray(y_t, dtype=float)
     obs = np.flatnonzero(np.asarray(m_t) == 1)
@@ -141,17 +145,19 @@ def robust_stage1(U: NDArray, y_t: NDArray, m_t: NDArray, cfg: RobustConfig) -> 
     pinv = np.linalg.pinv(A)
     y_o = y_t[obs]
     s_o = np.zeros(len(obs))
+    half = cfg.rho / 2.0
     trace = []
     converged = False
     for _ in range(cfg.admm_iters):
         w = pinv @ (y_o - s_o)
         resid = y_o - A @ w
-        s_new = np.sign(resid) * np.maximum(np.abs(resid) - cfg.rho / 2.0, 0.0)
-        obj = float(np.sum((A @ w + s_new - y_o) ** 2)) + cfg.rho * float(
-            np.abs(s_new).sum()
-        )
-        trace.append(obj)
-        delta = np.abs(s_new - s_o).max() if len(obs) else 0.0
+        # Soft-thresholding as resid minus its clipped part: the clipped part
+        # is the fit residual A w + s_new - y_o up to sign, so the objective
+        # needs no further matrix product.
+        inner = np.clip(resid, -half, half)
+        s_new = resid - inner
+        trace.append(float(inner @ inner) + cfg.rho * float(np.abs(s_new).sum()))
+        delta = np.abs(s_new - s_o).max()
         s_o = s_new
         if delta < cfg.admm_tol:
             converged = True

@@ -376,3 +376,95 @@ def test_graph_recover_beta_acts_under_squared_fidelity(runner, tmp_path):
         res = runner.invoke(main, [*base, *flags, "--beta", "5", "--out", str(tmp_path / "x.csv")])
         assert res.exit_code == 2
         assert "--beta" in res.output
+
+
+def _write_stream(tmp_path, n, seed=8, p=12, r=2):
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((p, r)))[0]
+    Y = U @ rng.standard_normal((r, n)) + (rng.random((p, n)) < 0.1) * 5.0
+    mask = (rng.random((p, n)) > 0.1).astype(int)
+    stream = tmp_path / f"stream{n}.csv"
+    write_matrix_csv(stream, Y, mask)
+    return stream, U
+
+
+@pytest.mark.parametrize("mode", ["petrels", "robust"])
+def test_track_fills_once_per_call(runner, tmp_path, monkeypatch, mode):
+    calls = []
+    original = IncompleteMatrix.filled
+
+    def counting(self, fill_value=0.0):
+        calls.append(1)
+        return original(self, fill_value)
+
+    monkeypatch.setattr(IncompleteMatrix, "filled", counting)
+    counts = []
+    for n in (40, 80):
+        stream, _ = _write_stream(tmp_path, n)
+        calls.clear()
+        out = tmp_path / "track.csv"
+        res = runner.invoke(main, ["track", "--stream", str(stream), "--mode", mode, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 1
+
+
+def test_track_petrels_matches_library_loop(runner, tmp_path):
+    from gapkit.core import SeedSpec, format_float
+    from gapkit.subspace import petrels_init, petrels_update, petrels_weights
+
+    stream, _ = _write_stream(tmp_path, 50)
+    out = tmp_path / "track.csv"
+    res = runner.invoke(main, ["track", "--stream", str(stream), "--seed", "3", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    Y = read_matrix_csv(stream)
+    state = petrels_init(Y.p, 2, SeedSpec(3), lambda_forget=0.98)
+    lines = ["t,residual"]
+    for t in range(Y.n):
+        y_t, m_t = Y.filled(0.0)[:, t], Y.mask[:, t]
+        petrels_update(state, y_t, m_t)
+        w, _ = petrels_weights(state.U, y_t, m_t)
+        lines.append(f"{t},{format_float(np.linalg.norm(m_t * (y_t - state.U @ w)))}")
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "extra, truth, message",
+    [
+        (["--rank", "0"], None, "r <= p"),
+        (["--rank", "13"], None, "r <= p"),
+        (["--forget", "0"], None, "lambda_forget"),
+        (["--forget", "1.5"], None, "lambda_forget"),
+        (["--mode", "robust", "--rho", "0"], None, "rho"),
+        ([], "gappy", "missing entries"),
+        ([], "wide", "p x rank"),
+        ([], "flat", "rank-deficient"),
+    ],
+    ids=["rank0", "rank_over_p", "forget0", "forget_over_1", "rho0_robust",
+         "truth_gappy", "truth_wide", "truth_rank_deficient"],
+)
+def test_track_rejects_bad_input(runner, tmp_path, extra, truth, message):
+    stream, U = _write_stream(tmp_path, 20)
+    if truth is not None:
+        path = tmp_path / "truth.csv"
+        if truth == "gappy":
+            write_matrix_csv(path, U, np.array([[0, 1]] + [[1, 1]] * (U.shape[0] - 1)))
+        elif truth == "wide":
+            write_matrix_csv(path, np.hstack([U, U[:, :1]]))
+        else:
+            write_matrix_csv(path, np.column_stack([U[:, 0], 2.0 * U[:, 0]]))
+        extra = [*extra, "--truth", str(path)]
+    out = tmp_path / "track.csv"
+    res = runner.invoke(main, ["track", "--stream", str(stream), *extra, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+
+
+def test_mask_rejects_bad_data_file(runner, tmp_path):
+    data = tmp_path / "x.csv"
+    data.write_text("1.0,2.0\n3.0,abc\n", encoding="utf-8")
+    res = runner.invoke(
+        main, ["mask", "--mechanism", "mcar", "--data", str(data), "--out", str(tmp_path / "m.csv")]
+    )
+    assert res.exit_code == 2
+    assert "config error" in res.output

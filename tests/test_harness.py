@@ -236,3 +236,12 @@ def test_unknown_metric_raises():
     )
     with pytest.raises(ConfigError, match="unknown metric"):
         run_experiment(cfg)
+
+
+def test_import_does_not_load_scipy_stats():
+    import subprocess
+    import sys
+
+    code = "import sys, gapkit.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

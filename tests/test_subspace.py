@@ -205,3 +205,68 @@ def test_robust_beats_plain_under_outliers():
             robust_update(s_ro, y, m, cfg)
         wins += sep(s_ro.U, U_true) < sep(s_pl.U, U_true)
     assert wins >= seeds - 1
+
+
+def test_robust_update_keeps_row_precisions_symmetric():
+    rng = np.random.default_rng(33)
+    p, r = 20, 3
+    U_true = _basis(p, r, 34)
+    state = petrels_init(p, r, SeedSpec(35))
+    cfg = RobustConfig(rho=1.0)
+    for _ in range(200):
+        y = U_true @ rng.standard_normal(r) + 0.1 * rng.standard_normal(p)
+        y += (rng.random(p) < 0.1) * 10.0
+        m = (rng.random(p) > 0.2).astype(int)  # weight = clean rows / p < 1
+        robust_update(state, y, m, cfg)
+    assert np.array_equal(state.row_prec, state.row_prec.transpose(0, 2, 1))
+    assert state.reinit_count == 0
+
+
+def _stage1_sign_max(U, y, m, cfg):
+    """Reference loop: soft-threshold as sign * max, objective from the fit;
+    returns (w, s, objective trace)."""
+    obs = np.flatnonzero(m == 1)
+    s = np.zeros(U.shape[0])
+    A = U[obs]
+    pinv = np.linalg.pinv(A)
+    y_o = y[obs]
+    s_o = np.zeros(len(obs))
+    trace = []
+    for _ in range(cfg.admm_iters):
+        w = pinv @ (y_o - s_o)
+        resid = y_o - A @ w
+        s_new = np.sign(resid) * np.maximum(np.abs(resid) - cfg.rho / 2.0, 0.0)
+        trace.append(np.sum((A @ w + s_new - y_o) ** 2) + cfg.rho * np.abs(s_new).sum())
+        delta = np.abs(s_new - s_o).max()
+        s_o = s_new
+        if delta < cfg.admm_tol:
+            break
+    w = pinv @ (y_o - s_o)
+    s[obs] = s_o
+    return w, s, np.array(trace)
+
+
+@pytest.mark.parametrize("case", ["full", "partial", "rank_deficient", "one_row"])
+@pytest.mark.parametrize("seed", range(5))
+def test_stage1_matches_sign_max_reference(case, seed):
+    rng = np.random.default_rng([36, seed])
+    p, r = 25, 3
+    U = _basis(p, r, seed)
+    m = np.ones(p, dtype=int)
+    if case == "partial":
+        m = (rng.random(p) > 0.3).astype(int)
+    elif case == "rank_deficient":
+        U[:, 2] = U[:, 0] - 2.0 * U[:, 1]
+        m = (rng.random(p) > 0.3).astype(int)
+    elif case == "one_row":
+        m = np.zeros(p, dtype=int)
+        m[seed] = 1
+    y = U @ rng.standard_normal(r) + 0.1 * rng.standard_normal(p)
+    y += (rng.random(p) < 0.15) * rng.choice([-8.0, 8.0], p)
+    cfg = RobustConfig(rho=0.7)
+    res = robust_stage1(U, y, m, cfg)
+    w, s, trace = _stage1_sign_max(U, y, m, cfg)
+    assert np.array_equal(res.w, w)
+    assert np.array_equal(res.s, s)
+    assert len(res.objective_trace) == len(trace)
+    assert_allclose(res.objective_trace, trace, rtol=1e-12, atol=1e-12)
