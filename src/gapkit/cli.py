@@ -6,9 +6,11 @@ Exit codes: 0 success, 2 config/usage error, 3 every replicate failed,
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
+from click.core import ParameterSource
 import numpy as np
 
 from . import __version__
@@ -45,7 +47,7 @@ from .mechanisms import MechanismKind, MechanismSpec, classify_pattern, gen_mask
 from .mnar import sem_selection_fit
 from .structcov import CovStructure, StructureKind, em_structured_fit
 from .subspace import RobustConfig, petrels_init, petrels_update, petrels_weights, robust_update
-from .timeseries import Ar1StudentParams, ar1t_fit_saem, ar1t_multiple_impute
+from .timeseries import Ar1StudentParams, _ols_ar1, ar1t_fit_saem, ar1t_multiple_impute
 from .imputation import ImputerKind, ImputerSpec, multiple_impute, run_imputer
 
 EXIT_CONFIG = 2
@@ -69,6 +71,26 @@ def _load(path, mask):
         return read_matrix_csv(path, mask)
     except (OSError, ValueError) as exc:
         _fail_config(exc)
+
+
+def _read_lines(path, parse):
+    """parse(line) for each stripped line of a text file; a ValueError exits 2
+    naming the file and the 1-based line."""
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            try:
+                out.append(parse(line.strip()))
+            except ValueError as exc:
+                _fail_config(f"{path}:{lineno}: {exc}")
+    return out
+
+
+def _finite(token):
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token!r} is not a finite number")
+    return value
 
 
 @main.command("mask")
@@ -271,8 +293,14 @@ def complete_cmd(in_path, mask_path, mode, rank, lam, tol, maxiter, out):
 @click.option("--truth", type=click.Path(exists=True), default=None, help="p x r basis CSV for sep")
 @click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path(), required=True)
-def track_cmd(stream, mode, rank, forget, rho, alpha, truth, seed, out):
+@click.pass_context
+def track_cmd(ctx, stream, mode, rank, forget, rho, alpha, truth, seed, out):
     """Stream a gappy matrix through the subspace tracker; per-step CSV out."""
+    if mode == "petrels":
+        given = [f"--{name}" for name in ("rho", "alpha")
+                 if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
+        if given:
+            _fail_config(f"{' and '.join(given)} apply to --mode robust only")
     Y = _load(stream, None)
     try:
         state = petrels_init(Y.p, rank, SeedSpec(seed), lambda_forget=forget)
@@ -315,15 +343,22 @@ def graph_group():
 
 
 def _read_edge_csv(path, p):
-    edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            i, j, w = line.split(",")
-            edges.append((int(i), int(j), float(w)))
-    return UndirectedGraph.from_edges(p, edges)
+    def edge(line):
+        if not line or line.startswith("#"):
+            return None
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise ValueError(f"expected i,j,weight, got {line!r}")
+        i, j = int(fields[0]), int(fields[1])
+        if not (0 <= i < p and 0 <= j < p):
+            raise ValueError(f"node index outside [0, {p})")
+        return i, j, _finite(fields[2])
+
+    edges = [e for e in _read_lines(path, edge) if e is not None]
+    try:
+        return UndirectedGraph.from_edges(p, edges)
+    except ValueError as exc:
+        _fail_config(f"{path}: {exc}")
 
 
 def _write_edge_csv(path, pairs):
@@ -419,13 +454,8 @@ def ts_fit_cmd(in_path, iters, nu, seed, out):
     """Fit the AR(1) Student-t model to a single-column gappy series."""
     y = _read_series(in_path)
     cfg = EmConfig(max_iter=iters, seed=SeedSpec(seed))
-    init = None
-    if nu is not None:
-        from .timeseries import _ols_ar1
-
-        mu0, a0, s0 = _ols_ar1(y)
-        init = Ar1StudentParams(mu0, a0, s0, nu)
     try:
+        init = None if nu is None else Ar1StudentParams(*_ols_ar1(y), nu)
         fit = ar1t_fit_saem(y, init=init, cfg=cfg, estimate_nu=nu is None)
     except ValueError as exc:
         _fail_config(exc)
@@ -440,12 +470,11 @@ def ts_fit_cmd(in_path, iters, nu, seed, out):
 
 
 def _read_series(path):
-    vals = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            tok = line.strip().rstrip(",")
-            vals.append(float(tok) if tok else np.nan)
-    return np.array(vals)
+    def value(line):
+        tok = line.rstrip(",")
+        return _finite(tok) if tok else np.nan
+
+    return np.array(_read_lines(path, value), dtype=float)
 
 
 @main.command("ts-impute")

@@ -5,8 +5,14 @@ The innovations are treated as a Gaussian scale mixture: each step carries a
 latent Gamma weight whose conditional is available in closed form, which
 makes the M-step a weighted least squares and the imputation step an exact
 Gibbs sweep. During fitting the missing interior points are refreshed by
-single-site Metropolis moves targeting the product of the two adjacent
-Student-t transitions.
+Metropolis moves targeting the product of the two adjacent Student-t
+transitions.
+
+Both samplers update the interior gaps in red-black order: a point's
+two-sided conditional involves only its two neighbours, so the even points
+are conditionally independent given the odd ones and vice versa, and each
+parity is updated in one vectorized step. This is the same Gibbs scan as
+visiting the points of one parity one at a time.
 """
 from __future__ import annotations
 
@@ -21,6 +27,8 @@ from .core import SeedSpec
 from .em import EmConfig
 
 NU_GRID = np.geomspace(2.1, 100.0, 21)
+# log Gamma((nu + 1)/2) - log Gamma(nu/2) on the grid, for the t log density
+_NU_LOG_NORM = gammaln((NU_GRID + 1.0) / 2.0) - gammaln(NU_GRID / 2.0)
 
 
 @dataclass
@@ -44,18 +52,23 @@ class Ar1StudentParams:
 
 @dataclass
 class Ar1SaemFit:
+    """SAEM result. ``accept_rate`` is the share of Metropolis proposals
+    accepted for the interior missing points (0 < t < n-1) over all
+    iterations; it is nan when there is no such point."""
+
     params: Ar1StudentParams
     chains: dict
     n_iter: int
+    accept_rate: float
 
 
-def _t_logpdf(e, sigma, nu):
-    return (
-        gammaln((nu + 1.0) / 2.0)
-        - gammaln(nu / 2.0)
-        - 0.5 * math.log(nu * math.pi * sigma**2)
-        - (nu + 1.0) / 2.0 * np.log1p(e**2 / (nu * sigma**2))
-    )
+def _t_loglik_grid(e, sigma):
+    """Student-t log likelihood of the innovations e, one value per NU_GRID
+    entry."""
+    log_norm = _NU_LOG_NORM - 0.5 * np.log(NU_GRID * math.pi * sigma**2)
+    q = (e / sigma) ** 2 / NU_GRID[:, None]
+    np.log1p(q, out=q)  # in place: one (grid, n-1) buffer, not two
+    return len(e) * log_norm - 0.5 * (NU_GRID + 1.0) * q.sum(axis=1)
 
 
 def _ols_ar1(x):
@@ -90,6 +103,8 @@ def ar1t_fit_saem(
     a 1-D grid on the stochastically averaged innovation log likelihood.
     """
     cfg = cfg or EmConfig(max_iter=300, saem_burn_in=20)
+    if cfg.max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     y = np.asarray(y, dtype=float).reshape(-1)
     n = len(y)
     observed = np.isfinite(y)
@@ -101,14 +116,16 @@ def ar1t_fit_saem(
     mu, a, sigma, nu = init.mu, init.a, init.sigma, init.nu
     rng = cfg.seed.rng()
     x = _initial_fill(y, observed)
-    missing_idx = np.flatnonzero(~observed)
+    ends = (not observed[0], not observed[-1])
+    interior = np.flatnonzero(~observed[1:-1]) + 1
+    halves = _parity_halves(interior)
+    accepted = 0
     stats = None
     ll_grid_smooth = None
     iters = cfg.max_iter
     chains = {k: np.empty(iters) for k in ("mu", "a", "sigma", "nu")}
     for it in range(1, iters + 1):
-        if len(missing_idx) > 0:
-            _refresh_missing_mh(x, missing_idx, mu, a, sigma, nu, rng)
+        accepted += _refresh_missing_mh(x, ends, halves, mu, a, sigma, nu, rng)
         e = x[1:] - mu - a * x[:-1]
         tau = rng.gamma((nu + 1.0) / 2.0, 2.0 / (nu + (e / sigma) ** 2))
         z_prev = x[:-1]
@@ -132,8 +149,7 @@ def ar1t_fit_saem(
         rss = s_yy - 2.0 * beta @ Szy + beta @ Szz @ beta
         sigma = math.sqrt(max(float(rss) / (n - 1), 1e-12))
         if estimate_nu:
-            e = x[1:] - mu - a * x[:-1]
-            ll = np.array([_t_logpdf(e, sigma, v).sum() for v in NU_GRID])
+            ll = _t_loglik_grid(x[1:] - mu - a * x[:-1], sigma)
             ll_grid_smooth = (
                 ll
                 if ll_grid_smooth is None
@@ -151,7 +167,8 @@ def ar1t_fit_saem(
         float(chains["sigma"][b:].mean()),
         float(chains["nu"][b:].mean()) if estimate_nu else nu,
     )
-    return Ar1SaemFit(params, chains, iters)
+    accept_rate = accepted / (len(interior) * iters) if len(interior) else math.nan
+    return Ar1SaemFit(params, chains, iters, accept_rate)
 
 
 def _initial_fill(y, observed):
@@ -166,37 +183,56 @@ def _initial_fill(y, observed):
     return x
 
 
-def _refresh_missing_mh(x, missing_idx, mu, a, sigma, nu, rng):
-    """Single-site refresh of every missing point, in index order.
+def _parity_halves(sites):
+    """Split point indices into their even and odd halves, dropping an empty
+    half. No two points of a half are neighbours, so under the AR(1) chain
+    they are conditionally independent given everything else."""
+    return [h for h in (sites[sites % 2 == 0], sites[sites % 2 == 1]) if len(h)]
 
-    Interior points get an independence Metropolis move with a Gaussian
-    proposal at the two-sided conditional mean and matched variance; the
-    first and last points have one-sided targets that can be drawn exactly.
+
+def _two_sided(prev, nxt, mu, a, w_prev, w_next):
+    """Conditional mean of x_t given x_{t-1} = prev and x_{t+1} = nxt, when
+    the innovations into and out of t have precisions w_prev / sigma^2 and
+    w_next / sigma^2; returns (mean, w) with conditional precision w / sigma^2."""
+    w = w_prev + a**2 * w_next
+    return (w_prev * (mu + a * prev) + a * w_next * (nxt - mu)) / w, w
+
+
+def _refresh_missing_mh(x, ends, halves, mu, a, sigma, nu, rng):
+    """Refresh the missing points of x in place; returns how many interior
+    proposals were accepted.
+
+    The endpoints t = 0 and t = n-1, when ``ends`` flags them missing, have
+    one-sided targets and are drawn exactly first. Then each half in
+    ``halves`` (the interior missing points split by `_parity_halves`) takes
+    one vectorized independence Metropolis step: a Gaussian proposal at the
+    two-sided conditional mean with matched variance, against the product of
+    the two adjacent t transitions, whose normalizing constants cancel.
     """
-    n = len(x)
+    head, tail = ends
+    if head:
+        if abs(a) > 1e-8:
+            x[0] = (x[1] - mu - sigma * rng.standard_t(nu)) / a
+        else:
+            x[0] = mu + sigma * rng.standard_t(nu)
+    if tail:
+        x[-1] = mu + a * x[-2] + sigma * rng.standard_t(nu)
     var_t = sigma**2 * (nu / (nu - 2.0)) if nu > 2.0 else sigma**2
-    for t in missing_idx:
-        if t == n - 1:
-            x[t] = mu + a * x[t - 1] + sigma * rng.standard_t(nu)
-            continue
-        if t == 0:
-            if abs(a) > 1e-8:
-                x[t] = (x[1] - mu - sigma * rng.standard_t(nu)) / a
-            else:
-                x[t] = mu + sigma * rng.standard_t(nu)
-            continue
-        prec = (1.0 + a**2) / var_t
-        mean = ((mu + a * x[t - 1]) + a * (x[t + 1] - mu)) / (1.0 + a**2)
-        sd = 1.0 / math.sqrt(prec)
-        prop = mean + sd * rng.standard_normal()
-        cand = np.array([prop, x[t]])
-        log_target = _t_logpdf(cand - mu - a * x[t - 1], sigma, nu) + _t_logpdf(
-            x[t + 1] - mu - a * cand, sigma, nu
+    scale = nu * sigma**2
+    accepted = 0
+    for t in halves:
+        prev, nxt = x[t - 1], x[t + 1]
+        mean, w = _two_sided(prev, nxt, mu, a, 1.0, 1.0)
+        sd = math.sqrt(var_t / w)
+        cand = np.stack([mean + sd * rng.standard_normal(len(t)), x[t]])  # proposal, current
+        log_w = 0.5 * ((cand - mean) / sd) ** 2 - 0.5 * (nu + 1.0) * (
+            np.log1p((cand - mu - a * prev) ** 2 / scale)
+            + np.log1p((nxt - mu - a * cand) ** 2 / scale)
         )
-        log_q = -0.5 * ((cand - mean) / sd) ** 2
-        log_acc = (log_target[0] - log_q[0]) - (log_target[1] - log_q[1])
-        if math.log(rng.random() + 1e-300) < log_acc:
-            x[t] = prop
+        accept = np.log(rng.random(len(t)) + 1e-300) < log_w[0] - log_w[1]
+        x[t[accept]] = cand[0, accept]
+        accepted += int(accept.sum())
+    return accepted
 
 
 def ar1t_multiple_impute(
@@ -209,9 +245,9 @@ def ar1t_multiple_impute(
     """K Gibbs-sampled completions of the gaps; observed points untouched.
 
     Interior gaps are sampled exactly from the Gaussian conditionals given
-    the mixture weights (scale-mixture augmentation); tail gaps are free
-    forecasts and head gaps run the recursion backwards. Returns a (K, n)
-    array; draw d uses seed substream d + 1.
+    the mixture weights (scale-mixture augmentation), even points then odd
+    points; tail gaps are free forecasts and head gaps run the recursion
+    backwards. Returns a (K, n) array; draw d uses seed substream d + 1.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -225,6 +261,7 @@ def ar1t_multiple_impute(
     head_end = obs_idx[0]  # everything before this index is a leading gap
     tail_start = obs_idx[-1] + 1  # everything from here on is a trailing gap
     interior = missing_idx[(missing_idx > head_end) & (missing_idx < tail_start)]
+    halves = _parity_halves(interior)
     mu, a, sigma, nu = params.mu, params.a, params.sigma, params.nu
     out = np.tile(y, (K, 1))
     for d in range(K):
@@ -240,15 +277,12 @@ def ar1t_multiple_impute(
                     x[t] = (x[t + 1] - mu - sigma * rng.standard_t(nu)) / a
                 else:
                     x[t] = mu + sigma * rng.standard_t(nu)
-            if len(interior) == 0:
+            if not halves:
                 continue
             e = x[1:] - mu - a * x[:-1]
             tau = rng.gamma((nu + 1.0) / 2.0, 2.0 / (nu + (e / sigma) ** 2))
-            for t in interior:
-                prec = (tau[t - 1] + a**2 * tau[t]) / sigma**2
-                mean = (
-                    tau[t - 1] * (mu + a * x[t - 1]) + a * tau[t] * (x[t + 1] - mu)
-                ) / (tau[t - 1] + a**2 * tau[t])
-                x[t] = mean + rng.standard_normal() / math.sqrt(prec)
+            for t in halves:
+                mean, w = _two_sided(x[t - 1], x[t + 1], mu, a, tau[t - 1], tau[t])
+                x[t] = mean + sigma * rng.standard_normal(len(t)) / np.sqrt(w)
         out[d, missing_idx] = x[missing_idx]
     return out

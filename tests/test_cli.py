@@ -468,3 +468,70 @@ def test_mask_rejects_bad_data_file(runner, tmp_path):
     )
     assert res.exit_code == 2
     assert "config error" in res.output
+
+
+@pytest.mark.parametrize(
+    "extra, message", [(["--iters", "0"], "max_iter"), (["--nu", "0"], "nu must be positive")]
+)
+def test_ts_fit_rejects_bad_options(runner, tmp_path, extra, message):
+    series = tmp_path / "ts.csv"
+    series.write_text("".join(f"{v}\n" for v in np.sin(np.arange(30.0))), encoding="utf-8")
+    res = runner.invoke(main, ["ts-fit", "--in", str(series), *extra])
+    assert res.exit_code == 2
+    assert message in res.output
+
+
+@pytest.mark.parametrize("command", ["ts-fit", "ts-impute"])
+@pytest.mark.parametrize("bad", ["abc", "inf"])
+def test_ts_commands_reject_malformed_series(runner, tmp_path, command, bad):
+    series = tmp_path / "ts.csv"
+    series.write_text(f"0.1\n\n{bad}\n0.3\n", encoding="utf-8")
+    extra = []
+    if command == "ts-impute":
+        extra = ["--mu", "0", "--a", "0.5", "--sigma", "1", "--nu", "5", "--out", str(tmp_path / "p.csv")]
+    res = runner.invoke(main, [command, "--in", str(series), *extra])
+    assert res.exit_code == 2
+    assert f"config error: {series}:3:" in res.output
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [("0,1", "expected i,j,weight"), ("0,x,1.0", "invalid literal"), ("0,3,1.0", "outside [0, 3)"),
+     ("-1,2,1.0", "outside [0, 3)"), ("0,2,nan", "not a finite number")],
+    ids=["two_fields", "bad_node", "node_over_p", "negative_node", "nan_weight"],
+)
+def test_graph_recover_rejects_malformed_edge_list(runner, tmp_path, line, message):
+    edges = tmp_path / "g.csv"
+    edges.write_text(f"# i,j,w\n0,1,1.0\n{line}\n", encoding="utf-8")
+    data = tmp_path / "sig.csv"
+    write_matrix_csv(data, np.array([[0.0, 0.0], [np.nan, np.nan], [2.0, 4.0]]))
+    res = runner.invoke(
+        main, ["graph", "recover", "--in", str(data), "--graph", str(edges), "--out", str(tmp_path / "r.csv")]
+    )
+    assert res.exit_code == 2
+    assert f"config error: {edges}:3:" in res.output
+    assert message in res.output
+
+
+def test_graph_recover_rejects_invalid_graph(runner, tmp_path):
+    edges = tmp_path / "g.csv"
+    edges.write_text("0,1,1.0\n1,2,-1.0\n", encoding="utf-8")
+    data = tmp_path / "sig.csv"
+    write_matrix_csv(data, np.array([[0.0], [np.nan], [2.0]]))
+    res = runner.invoke(
+        main, ["graph", "recover", "--in", str(data), "--graph", str(edges), "--out", str(tmp_path / "r.csv")]
+    )
+    assert res.exit_code == 2
+    assert "nonnegative" in res.output
+
+
+@pytest.mark.parametrize("extra", [["--rho", "1.0"], ["--alpha", "0.5"], ["--rho", "2", "--alpha", "1"]])
+def test_track_petrels_rejects_robust_options(runner, tmp_path, extra):
+    stream, _ = _write_stream(tmp_path, 20)
+    out = tmp_path / "track.csv"
+    res = runner.invoke(main, ["track", "--stream", str(stream), *extra, "--out", str(out)])
+    assert res.exit_code == 2
+    assert "--mode robust" in res.output
+    assert not out.exists()
+    res = runner.invoke(main, ["track", "--stream", str(stream), "--mode", "robust", *extra, "--out", str(out)])
+    assert res.exit_code == 0, res.output
