@@ -1,7 +1,10 @@
 """gapkit command-line harness.
 
-Exit codes: 0 success, 2 config/usage error, 3 every replicate failed,
-4 numerical failure.
+Exit codes: 0 success; 2 any invalid option, value or file, reported as
+`config error: <msg>`; 3 every bench replicate failed; 4 a numerical
+failure in any command, reported as `numerical failure: <msg>`. Commands
+raise and one error boundary on the `main` group maps the exception to its
+exit code.
 """
 from __future__ import annotations
 
@@ -28,7 +31,6 @@ from .em import EmConfig, EVariant, MVariant, em_gaussian_fit, em_student_fit
 from .graph import (
     RecoveryConfig,
     FidelityKind,
-    RegularizerKind,
     UndirectedGraph,
     gmrf_learn,
     recover_tikhonov,
@@ -37,7 +39,6 @@ from .graph import (
     var_learn,
 )
 from .harness import (
-    ConfigError,
     comparison_csv,
     compare_methods,
     load_config,
@@ -55,34 +56,47 @@ EXIT_ALL_FAILED = 3
 EXIT_NUMERICAL = 4
 
 
-@click.group()
+def _fail(code, label, exc):
+    message = " ".join(str(exc).splitlines())
+    click.echo(f"{label}: {message}", err=True)
+    sys.exit(code)
+
+
+class _ErrorBoundary(click.Group):
+    """Maps what any subcommand raises to an exit code and a one-line message.
+
+    The order matters: click's Exit (raised by --help) and Abort subclass
+    RuntimeError, and LinAlgError subclasses ValueError. A broken pipe is
+    left to click, which exits quietly.
+    """
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.exceptions.Exit, click.Abort, BrokenPipeError):
+            raise
+        except (np.linalg.LinAlgError, RuntimeError, ArithmeticError) as exc:
+            _fail(EXIT_NUMERICAL, "numerical failure", exc)
+        except (ValueError, OSError) as exc:
+            _fail(EXIT_CONFIG, "config error", exc)
+
+
+@click.group(cls=_ErrorBoundary)
 @click.version_option(__version__)
 def main():
     """Missing-data toolkit: simulate masks, impute, estimate, benchmark."""
 
 
-def _fail_config(message):
-    click.echo(f"config error: {message}", err=True)
-    sys.exit(EXIT_CONFIG)
-
-
-def _load(path, mask):
-    try:
-        return read_matrix_csv(path, mask)
-    except (OSError, ValueError) as exc:
-        _fail_config(exc)
-
-
 def _read_lines(path, parse):
-    """parse(line) for each stripped line of a text file; a ValueError exits 2
-    naming the file and the 1-based line."""
+    """parse(line) for each stripped line of a text file; a ValueError is
+    re-raised naming the file and the 1-based line."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             try:
                 out.append(parse(line.strip()))
             except ValueError as exc:
-                _fail_config(f"{path}:{lineno}: {exc}")
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 
@@ -111,14 +125,11 @@ def mask_cmd(mechanism, shape, data_path, rate, phi0, phi1, driver_row, seed, ou
     )
     X = None
     if data_path is not None:
-        X = _load(data_path, None).values
+        X = read_matrix_csv(data_path).values
         shape = X.shape
     if shape is None:
-        _fail_config("either --shape or --data is required")
-    try:
-        m = gen_mask(tuple(shape), spec, X=X, seed=SeedSpec(seed))
-    except ValueError as exc:
-        _fail_config(exc)
+        raise ValueError("either --shape or --data is required")
+    m = gen_mask(tuple(shape), spec, X=X, seed=SeedSpec(seed))
     write_mask_csv(out, m)
     if classify:
         click.echo(classify_pattern(m).value)
@@ -135,16 +146,13 @@ def mask_cmd(mechanism, shape, data_path, rate, phi0, phi1, driver_row, seed, ou
 @click.option("--out", type=click.Path(), required=True)
 def impute_cmd(in_path, mask_path, method, k, add_noise, draws, seed, out):
     """Fill the holes of a CSV matrix."""
-    X = _load(in_path, mask_path)
+    X = read_matrix_csv(in_path, mask_path)
     spec = ImputerSpec(ImputerKind(method), k=k, add_noise=add_noise)
-    try:
-        if draws > 1:
-            for d, Xc in enumerate(multiple_impute(X, spec, draws, SeedSpec(seed))):
-                write_matrix_csv(_numbered(out, d + 1), Xc)
-        else:
-            write_matrix_csv(out, run_imputer(X, spec, SeedSpec(seed)))
-    except ValueError as exc:
-        _fail_config(exc)
+    if draws != 1:
+        for d, Xc in enumerate(multiple_impute(X, spec, draws, SeedSpec(seed))):
+            write_matrix_csv(_numbered(out, d + 1), Xc)
+    else:
+        write_matrix_csv(out, run_imputer(X, spec, SeedSpec(seed)))
 
 
 def _numbered(path, d):
@@ -169,10 +177,10 @@ def _numbered(path, d):
 def estimate_cmd(in_path, mask_path, model, evariant, mvariant, structure, estimate_nu, tol, maxiter, seed, out):
     """EM parameter estimation; emits JSON with mu, sigma, nu and the trace."""
     if structure and model == "student":
-        _fail_config("--structure applies to the gaussian model only")
+        raise ValueError("--structure applies to the gaussian model only")
     if estimate_nu and model != "student":
-        _fail_config("--estimate-nu needs --model student")
-    X = _load(in_path, mask_path)
+        raise ValueError("--estimate-nu needs --model student")
+    X = read_matrix_csv(in_path, mask_path)
     cfg = EmConfig(
         e_variant=EVariant(evariant),
         m_variant=MVariant(mvariant),
@@ -180,45 +188,30 @@ def estimate_cmd(in_path, mask_path, model, evariant, mvariant, structure, estim
         max_iter=maxiter,
         seed=SeedSpec(seed),
     )
-    try:
-        if structure:
-            fit = em_structured_fit(X, _parse_structure(structure), cfg)
-            payload = _fit_payload(fit.params.mu, fit.params.sigma, None, fit.loglik_trace, fit.converged)
-        elif model == "gaussian":
-            fit = em_gaussian_fit(X, cfg=cfg)
-            payload = _fit_payload(fit.params.mu, fit.params.sigma, None, fit.loglik_trace, fit.converged)
-        else:
-            fit = em_student_fit(X, cfg=cfg, estimate_nu=estimate_nu)
-            payload = _fit_payload(
-                fit.params.mu, fit.params.sigma, fit.params.nu, fit.loglik_trace, fit.converged
-            )
-    except ValueError as exc:
-        _fail_config(exc)
+    if structure:
+        fit = em_structured_fit(X, _parse_structure(structure), cfg)
+    elif model == "gaussian":
+        fit = em_gaussian_fit(X, cfg=cfg)
+    else:
+        fit = em_student_fit(X, cfg=cfg, estimate_nu=estimate_nu)
+    payload = {
+        "mu": list(map(float, fit.params.mu)),
+        "sigma": [list(map(float, row)) for row in fit.params.sigma],
+        "loglik_trace": list(map(float, fit.loglik_trace)),
+        "converged": bool(fit.converged),
+    }
+    if model == "student":
+        payload["nu"] = float(fit.params.nu)
     _emit_json(payload, out)
 
 
 def _parse_structure(text):
     kind, _, value = text.partition(":")
-    try:
-        if kind == "factor":
-            return CovStructure(StructureKind.FACTOR_MODEL, r=int(value))
-        if kind == "floor":
-            return CovStructure(StructureKind.NOISE_FLOOR, sigma_known=float(value))
-    except ValueError:
-        pass
-    _fail_config(f"bad --structure {text!r}; expected factor:r or floor:sigma")
-
-
-def _fit_payload(mu, sigma, nu, trace, converged):
-    payload = {
-        "mu": list(map(float, mu)),
-        "sigma": [list(map(float, row)) for row in sigma],
-        "loglik_trace": list(map(float, trace)),
-        "converged": bool(converged),
-    }
-    if nu is not None:
-        payload["nu"] = float(nu)
-    return payload
+    if kind == "factor" and value.isdecimal():
+        return CovStructure(StructureKind.FACTOR_MODEL, r=int(value))
+    if kind == "floor" and value:
+        return CovStructure(StructureKind.NOISE_FLOOR, sigma_known=float(value))
+    raise ValueError(f"bad --structure {text!r}; expected factor:r or floor:sigma")
 
 
 def _emit_json(payload, out):
@@ -241,13 +234,10 @@ def _emit_json(payload, out):
 @click.option("--out", type=click.Path(), default=None)
 def mnar_fit_cmd(in_path, mask_path, phi0, phi1_init, iters, burnin, seed, out):
     """Stochastic-EM fit of the self-masked selection model."""
-    X = _load(in_path, mask_path)
-    try:
-        res = sem_selection_fit(
-            X, init_phi=(phi0, phi1_init), iters=iters, burn_in=burnin, seed=SeedSpec(seed)
-        )
-    except ValueError as exc:
-        _fail_config(exc)
+    X = read_matrix_csv(in_path, mask_path)
+    res = sem_selection_fit(
+        X, init_phi=(phi0, phi1_init), iters=iters, burn_in=burnin, seed=SeedSpec(seed)
+    )
     payload = {
         "mu": list(map(float, res.theta.mu)),
         "sigma": list(map(float, res.theta.sigma)),
@@ -270,14 +260,11 @@ def mnar_fit_cmd(in_path, mask_path, phi0, phi1_init, iters, burnin, seed, out):
 @click.option("--out", type=click.Path(), required=True)
 def complete_cmd(in_path, mask_path, mode, rank, lam, tol, maxiter, out):
     """Low-rank completion of a gappy CSV matrix."""
-    X = _load(in_path, mask_path)
-    try:
-        if mode == "hard":
-            res = hard_impute(X, rank, tol=tol, max_iter=maxiter)
-        else:
-            res = soft_impute(X, lam, tol=tol, max_iter=maxiter)
-    except ValueError as exc:
-        _fail_config(exc)
+    X = read_matrix_csv(in_path, mask_path)
+    if mode == "hard":
+        res = hard_impute(X, rank, tol=tol, max_iter=maxiter)
+    else:
+        res = soft_impute(X, lam, tol=tol, max_iter=maxiter)
     write_matrix_csv(out, res.X)
     if not res.converged:
         click.echo("warning: completion did not converge", err=True)
@@ -300,22 +287,19 @@ def track_cmd(ctx, stream, mode, rank, forget, rho, alpha, truth, seed, out):
         given = [f"--{name}" for name in ("rho", "alpha")
                  if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
         if given:
-            _fail_config(f"{' and '.join(given)} apply to --mode robust only")
-    Y = _load(stream, None)
-    try:
-        state = petrels_init(Y.p, rank, SeedSpec(seed), lambda_forget=forget)
-        cfg = RobustConfig(rho=rho, alpha_reg=alpha)
-    except ValueError as exc:
-        _fail_config(exc)
+            raise ValueError(f"{' and '.join(given)} apply to --mode robust only")
+    Y = read_matrix_csv(stream)
+    state = petrels_init(Y.p, rank, SeedSpec(seed), lambda_forget=forget)
+    cfg = RobustConfig(rho=rho, alpha_reg=alpha)
     U_true = None
     if truth:
-        T = _load(truth, None)
+        T = read_matrix_csv(truth)
         if T.n_missing() > 0:
-            _fail_config(f"--truth {truth} has missing entries")
+            raise ValueError(f"--truth {truth} has missing entries")
         if T.shape != (Y.p, rank):
-            _fail_config(f"--truth must be {Y.p} x {rank} (p x rank), got {T.p} x {T.n}")
+            raise ValueError(f"--truth must be {Y.p} x {rank} (p x rank), got {T.p} x {T.n}")
         if np.linalg.matrix_rank(T.values) < rank:
-            _fail_config(f"--truth {truth} is a rank-deficient basis")
+            raise ValueError(f"--truth {truth} is a rank-deficient basis")
         U_true = T.values
     # One row per step, built once: a step must not copy the whole stream.
     steps = zip(np.ascontiguousarray(Y.filled(0.0).T), np.ascontiguousarray(Y.mask.T))
@@ -358,7 +342,7 @@ def _read_edge_csv(path, p):
     try:
         return UndirectedGraph.from_edges(p, edges)
     except ValueError as exc:
-        _fail_config(f"{path}: {exc}")
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write_edge_csv(path, pairs):
@@ -379,22 +363,14 @@ def _write_edge_csv(path, pairs):
 def graph_recover_cmd(in_path, mask_path, graph_path, smooth, fidelity, alpha, beta, out):
     """Interpolate missing node signals on a known graph."""
     if beta != 0 and (smooth == "tv" or fidelity == "exact"):
-        _fail_config("--beta applies to tikhonov smoothness with squared or huber fidelity only")
-    Y = _load(in_path, mask_path)
+        raise ValueError("--beta applies to tikhonov smoothness with squared or huber fidelity only")
+    Y = read_matrix_csv(in_path, mask_path)
     G = _read_edge_csv(graph_path, Y.p)
-    try:
-        if smooth == "tv":
-            X = recover_tv(Y, G, alpha=alpha)
-        else:
-            cfg = RecoveryConfig(
-                fidelity=FidelityKind(fidelity),
-                alpha=alpha,
-                beta=beta,
-                regularizer=RegularizerKind.FROBENIUS,
-            )
-            X = recover_tikhonov(Y, G, cfg)
-    except ValueError as exc:
-        _fail_config(exc)
+    if smooth == "tv":
+        X = recover_tv(Y, G, alpha=alpha)
+    else:
+        cfg = RecoveryConfig(fidelity=FidelityKind(fidelity), alpha=alpha, beta=beta)
+        X = recover_tikhonov(Y, G, cfg)
     write_matrix_csv(out, X)
 
 
@@ -405,9 +381,9 @@ def graph_recover_cmd(in_path, mask_path, graph_path, smooth, fidelity, alpha, b
 @click.option("--out", type=click.Path(), required=True)
 def graph_learn_cmd(in_path, model, alpha, out):
     """Learn a graph from a complete signal matrix; edge-list CSV out."""
-    X = _load(in_path, None)
+    X = read_matrix_csv(in_path)
     if X.n_missing() > 0:
-        _fail_config("graph learning needs a complete matrix; impute first")
+        raise ValueError("graph learning needs a complete matrix; impute first")
     vals = X.values
     if model == "gmrf":
         S = vals @ vals.T / X.n
@@ -429,14 +405,8 @@ def graph_learn_cmd(in_path, model, alpha, out):
 @click.option("--out-prefix", required=True, help="writes <prefix>.X.csv, .L.csv, .A.csv")
 def graph_joint_cmd(in_path, mask_path, alpha_a, alpha_l, sigma_n2, iters, out_prefix):
     """Joint signal recovery plus spatial/temporal graph learning."""
-    Y = _load(in_path, mask_path)
-    try:
-        res = stsrgl_fit(Y, alpha_a=alpha_a, alpha_l=alpha_l, sigma_n2=sigma_n2, iters=iters)
-    except ValueError as exc:
-        _fail_config(exc)
-    except RuntimeError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+    Y = read_matrix_csv(in_path, mask_path)
+    res = stsrgl_fit(Y, alpha_a=alpha_a, alpha_l=alpha_l, sigma_n2=sigma_n2, iters=iters)
     write_matrix_csv(f"{out_prefix}.X.csv", res.X)
     _write_edge_csv(f"{out_prefix}.L.csv", res.L.edges())
     A = res.A.A
@@ -454,11 +424,8 @@ def ts_fit_cmd(in_path, iters, nu, seed, out):
     """Fit the AR(1) Student-t model to a single-column gappy series."""
     y = _read_series(in_path)
     cfg = EmConfig(max_iter=iters, seed=SeedSpec(seed))
-    try:
-        init = None if nu is None else Ar1StudentParams(*_ols_ar1(y), nu)
-        fit = ar1t_fit_saem(y, init=init, cfg=cfg, estimate_nu=nu is None)
-    except ValueError as exc:
-        _fail_config(exc)
+    init = None if nu is None else Ar1StudentParams(*_ols_ar1(y), nu)
+    fit = ar1t_fit_saem(y, init=init, cfg=cfg, estimate_nu=nu is None)
     payload = {
         "mu": fit.params.mu,
         "a": fit.params.a,
@@ -489,11 +456,7 @@ def _read_series(path):
 def ts_impute_cmd(in_path, draws, mu, a, sigma, nu, seed, out):
     """Posterior-draw completions of a gappy series; one column per draw."""
     y = _read_series(in_path)
-    try:
-        params = Ar1StudentParams(mu, a, sigma, nu)
-        paths = ar1t_multiple_impute(y, params, draws, SeedSpec(seed))
-    except ValueError as exc:
-        _fail_config(exc)
+    paths = ar1t_multiple_impute(y, Ar1StudentParams(mu, a, sigma, nu), draws, SeedSpec(seed))
     write_matrix_csv(out, paths.T)
 
 
@@ -504,11 +467,7 @@ def bench_cmd(config_path, out_dir):
     """Run a replicated experiment; writes results.csv and manifest.json."""
     import os
 
-    try:
-        config = load_config(config_path)
-        result = run_experiment(config)
-    except ConfigError as exc:
-        _fail_config(exc)
+    result = run_experiment(load_config(config_path))
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "results.csv"), "w", encoding="utf-8") as fh:
         fh.write(result.to_csv())
@@ -524,11 +483,7 @@ def bench_cmd(config_path, out_dir):
 @click.option("--out", type=click.Path(), required=True)
 def compare_cmd(config_paths, out):
     """Aligned-seed comparison of several method configs."""
-    try:
-        configs = [load_config(p) for p in config_paths]
-        rows = compare_methods(configs)
-    except ConfigError as exc:
-        _fail_config(exc)
+    rows = compare_methods([load_config(p) for p in config_paths])
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(comparison_csv(rows))
 

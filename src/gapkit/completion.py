@@ -26,6 +26,11 @@ class SoftImputeResult:
     converged: bool
 
 
+def _check_stopping(tol: float, max_iter: int) -> None:
+    if not tol > 0 or max_iter < 1:
+        raise ValueError(f"need tol > 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
+
+
 def _default_init(Y: IncompleteMatrix) -> NDArray:
     from .imputation import impute_mean
 
@@ -48,6 +53,7 @@ def hard_impute(
     """
     if not 1 <= r <= min(Y.p, Y.n):
         raise ValueError(f"rank r={r} must lie in [1, min(p, n)]")
+    _check_stopping(tol, max_iter)
     obs = Y.mask == 1
     cur = np.array(init, dtype=float) if init is not None else _default_init(Y)
     if cur.shape != Y.shape:
@@ -80,8 +86,9 @@ def soft_impute(
     matrix by lam; the objective 0.5 * ||M o (X - Y)||_F^2 + lam * ||X||_* is
     recorded at every iterate and is nonincreasing.
     """
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
+    _check_stopping(tol, max_iter)
     obs = Y.mask == 1
     Yobs = Y.filled(0.0)
     Z = np.array(init, dtype=float) if init is not None else _default_init(Y)

@@ -48,8 +48,8 @@ class IncompleteMatrix:
         mask = mask.astype(np.int8)
         values = values.copy()
         values[mask == 0] = np.nan  # poison the sentinel positions
-        if np.isnan(values[mask == 1]).any():
-            raise ValueError("observed entries must be finite numbers, got NaN")
+        if not np.isfinite(values[mask == 1]).all():
+            raise ValueError("observed entries must be finite numbers")
         self.values = values
         self.mask = mask
         self.values.setflags(write=False)
@@ -216,7 +216,7 @@ def read_matrix_csv(path, mask_path=None) -> IncompleteMatrix:
         values = np.where(mask == 1, values, np.nan)
     else:
         mask = (~np.isnan(values)).astype(np.int8)
-    return IncompleteMatrix(np.nan_to_num(values, nan=0.0), mask)
+    return IncompleteMatrix(np.where(np.isnan(values), 0.0, values), mask)
 
 
 def write_matrix_csv(path, X, mask=None) -> None:

@@ -102,8 +102,10 @@ class EmConfig:
     gem_inner_steps: int = 3
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         if self.mcem_draws < 1:
             raise ValueError("mcem_draws must be >= 1")
 

@@ -24,6 +24,11 @@ def _laplacian(W: NDArray) -> NDArray:
     return np.diag(W.sum(axis=1)) - W
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0 <= alpha < np.inf:
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
+
+
 def _innovations(X: NDArray, A: NDArray) -> NDArray:
     """Lag-one innovations x_t - A x_{t-1}; the first column is its own."""
     E = np.empty_like(X)
@@ -100,29 +105,20 @@ class FidelityKind(Enum):
     HUBER = "huber"
 
 
-class RegularizerKind(Enum):
-    NONE = "none"
-    FROBENIUS = "frobenius"
-    NUCLEAR = "nuclear"
-
-
 @dataclass(frozen=True)
 class RecoveryConfig:
     fidelity: FidelityKind = FidelityKind.EXACT
-    smoothness: SmoothnessKind = SmoothnessKind.TIKHONOV
     alpha: float = 1.0
     beta: float = 0.0
     delta: float = 1.0
-    regularizer: RegularizerKind = RegularizerKind.NONE
-    p_norm: int = 2
     max_iter: int = 500
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be nonnegative")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
+            raise ValueError("alpha and beta must be nonnegative and finite")
+        if not 0 < self.delta < np.inf:
+            raise ValueError("delta must be positive and finite")
 
 
 def smoothness(X: NDArray, W: NDArray, kind: SmoothnessKind, p_norm: int = 2) -> float:
@@ -168,15 +164,11 @@ def recover_tikhonov(
     Exact fidelity pins observed entries and solves the harmonic system
     L_mm x_m = -L_mo x_o per column. Squared and Huber fidelities trade the
     residual against alpha * tr(X^T L X) (+ beta * ||X||_F^2), solved by a
-    linear system or iteratively reweighted least squares respectively.
+    linear system or iteratively reweighted least squares respectively. A
+    nonzero beta adds the Frobenius penalty under squared and Huber fidelity;
+    exact fidelity does not read it.
     """
     cfg = cfg or RecoveryConfig()
-    if cfg.smoothness is not SmoothnessKind.TIKHONOV:
-        raise ValueError(
-            f"recover_tikhonov implements tikhonov smoothness only, got {cfg.smoothness.value!r}"
-        )
-    if cfg.regularizer is RegularizerKind.NUCLEAR:
-        raise ValueError("nuclear-norm regularization lives in the completion module")
     W = W.W if isinstance(W, UndirectedGraph) else np.asarray(W, dtype=float)
     L = _laplacian(W)
     out = Y.values.copy()
@@ -194,8 +186,7 @@ def recover_tikhonov(
                 ) from exc
             out[np.ix_(mis, cols)] = cho_solve(f, -L_mo @ Y.values[np.ix_(obs, cols)])
         return out
-    beta = cfg.beta if cfg.regularizer is RegularizerKind.FROBENIUS else 0.0
-    base = 2.0 * cfg.alpha * L + 2.0 * beta * np.eye(Y.p)
+    base = 2.0 * cfg.alpha * L + 2.0 * cfg.beta * np.eye(Y.p)
     y_full = Y.filled(0.0)
     if cfg.fidelity is FidelityKind.SQUARED:
         for obs, _mis, cols in Y.pattern_groups:
@@ -246,6 +237,7 @@ def recover_tv(
     differences and runs ADMM; the best-objective feasible iterate is
     returned (TV minimizers need not be unique).
     """
+    _check_alpha(alpha)
     W = W.W if isinstance(W, UndirectedGraph) else np.asarray(W, dtype=float)
     p = W.shape[0]
     iu, ju = np.triu_indices(p, k=1)
@@ -333,6 +325,7 @@ def gmrf_learn(
     Barzilai-Borwein step and backtracking. The pseudo-determinant is lifted
     to a full determinant by adding the rank-one matrix (1/p) 1 1^T.
     """
+    _check_alpha(alpha)
     S = np.asarray(S, dtype=float)
     p = S.shape[0]
     if S.shape != (p, p) or np.abs(S - S.T).max() > 1e-8 * max(np.abs(S).max(), 1e-300):
@@ -413,6 +406,7 @@ def var_learn(X: NDArray, alpha: float, gap_tol: float = 1e-8) -> DirectedGraph:
     independent lasso run to the requested duality gap (alpha = 0 reduces to
     least squares).
     """
+    _check_alpha(alpha)
     X = np.asarray(X, dtype=float)
     p, n = X.shape
     if n < 2:
@@ -480,6 +474,11 @@ def stsrgl_fit(
     block sees the same objective; it must decrease every cycle, and an
     increase beyond slack aborts with a diagnostic.
     """
+    if iters < 1 or not (0 < sigma_n2 < np.inf and 0 <= alpha_a < np.inf and 0 <= alpha_l < np.inf):
+        raise ValueError(
+            "stsrgl_fit needs iters >= 1, sigma_n2 > 0 and nonnegative alpha_a, alpha_l, all finite; "
+            f"got {iters}, {sigma_n2}, {alpha_a}, {alpha_l}"
+        )
     p, n = Y.shape
     if n < 2:
         raise ValueError("need at least two columns")

@@ -70,6 +70,8 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"missing config section: {exc}") from exc
+        except TypeError as exc:
+            raise ConfigError(f"malformed config: {exc}") from exc
 
 
 def _coerce(value: str):

@@ -40,6 +40,8 @@ class MechanismSpec:
     def __post_init__(self):
         if self.kind is MechanismKind.MCAR and not 0.0 <= self.rate <= 1.0:
             raise ValueError("MCAR rate must lie in [0, 1]")
+        if not np.isfinite([self.phi0, self.phi1]).all():
+            raise ValueError("phi0 and phi1 must be finite")
 
 
 class PatternClass(Enum):
@@ -59,6 +61,8 @@ def gen_mask(shape, spec: MechanismSpec, X=None, seed: SeedSpec = SeedSpec(0)) -
     observed.
     """
     p, n = shape
+    if p < 1 or n < 1:
+        raise ValueError(f"mask shape must be at least 1 x 1, got {p} x {n}")
     rng = seed.rng()
     if spec.kind is MechanismKind.MCAR:
         mask = (rng.random((p, n)) >= spec.rate).astype(np.int8)
@@ -70,7 +74,7 @@ def gen_mask(shape, spec: MechanismSpec, X=None, seed: SeedSpec = SeedSpec(0)) -
         raise ValueError("X shape does not match the requested mask shape")
     if spec.kind is MechanismKind.MAR:
         if not 0 <= spec.driver_row < p:
-            raise IndexError("driver_row out of range")
+            raise ValueError(f"driver_row {spec.driver_row} outside [0, p) for p={p}")
         p_missing = _sigmoid(spec.phi1 * X[spec.driver_row] + spec.phi0)
         mask = (rng.random((p, n)) >= p_missing[None, :]).astype(np.int8)
         mask[spec.driver_row] = 1

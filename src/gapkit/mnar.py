@@ -141,6 +141,8 @@ def sem_selection_fit(
     """
     if iters <= burn_in:
         raise ValueError("iters must exceed burn_in")
+    if not np.isfinite(init_phi).all():
+        raise ValueError(f"init_phi must be finite, got {init_phi}")
     if (X.mask.sum(axis=1) < 2).any():
         raise ValueError("every row needs at least two observed entries")
     p, n = X.shape

@@ -32,8 +32,8 @@ class CovStructure:
     def __post_init__(self):
         if self.kind is StructureKind.FACTOR_MODEL and self.r < 1:
             raise ValueError("factor rank r must be >= 1")
-        if self.kind is StructureKind.NOISE_FLOOR and self.sigma_known <= 0:
-            raise ValueError("sigma_known must be positive")
+        if self.kind is StructureKind.NOISE_FLOOR and not 0 < self.sigma_known < np.inf:
+            raise ValueError("sigma_known must be positive and finite")
 
     def project(self, sigma):
         if self.kind is StructureKind.FACTOR_MODEL:

@@ -45,10 +45,10 @@ class RobustConfig:
     alpha_reg: float = 0.0
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-        if self.alpha_reg < 0:
-            raise ValueError("alpha_reg must be nonnegative")
+        if not 0 < self.rho < np.inf:
+            raise ValueError("rho must be positive and finite")
+        if not 0 <= self.alpha_reg < np.inf:
+            raise ValueError("alpha_reg must be nonnegative and finite")
 
 
 @dataclass

@@ -42,6 +42,8 @@ class Ar1StudentParams:
     enforce_stationarity: bool = False
 
     def __post_init__(self):
+        if not np.isfinite([self.mu, self.a, self.sigma, self.nu]).all():
+            raise ValueError("mu, a, sigma and nu must be finite")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.nu <= 0:
@@ -103,8 +105,6 @@ def ar1t_fit_saem(
     a 1-D grid on the stochastically averaged innovation log likelihood.
     """
     cfg = cfg or EmConfig(max_iter=300, saem_burn_in=20)
-    if cfg.max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     y = np.asarray(y, dtype=float).reshape(-1)
     n = len(y)
     observed = np.isfinite(y)
@@ -249,8 +249,8 @@ def ar1t_multiple_impute(
     points; tail gaps are free forecasts and head gaps run the recursion
     backwards. Returns a (K, n) array; draw d uses seed substream d + 1.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    if K < 1 or sweeps < 1:
+        raise ValueError(f"K and sweeps must be >= 1, got K={K}, sweeps={sweeps}")
     y = np.asarray(y, dtype=float).reshape(-1)
     n = len(y)
     observed = np.isfinite(y)

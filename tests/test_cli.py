@@ -1,8 +1,12 @@
 import json
+import os
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gapkit.cli import main
 from gapkit.core import IncompleteMatrix, read_matrix_csv, rmse_missing, write_matrix_csv
@@ -535,3 +539,240 @@ def test_track_petrels_rejects_robust_options(runner, tmp_path, extra):
     assert not out.exists()
     res = runner.invoke(main, ["track", "--stream", str(stream), "--mode", "robust", *extra, "--out", str(out)])
     assert res.exit_code == 0, res.output
+
+
+# -- one error boundary: every bad option, value or file exits 2 (4 numerical) --
+
+
+def _probe_files(tmp_path):
+    rng = np.random.default_rng(21)
+    gappy = tmp_path / "gappy.csv"
+    write_matrix_csv(gappy, rng.standard_normal((3, 12)), (rng.random((3, 12)) > 0.25).astype(int))
+    full = tmp_path / "full.csv"
+    write_matrix_csv(full, rng.standard_normal((3, 12)))
+    zero = tmp_path / "zero.csv"
+    write_matrix_csv(zero, np.zeros((3, 6)))
+    edges = tmp_path / "g.csv"
+    edges.write_text("0,1,1.0\n1,2,1.0\n", encoding="utf-8")
+    return {"gappy": str(gappy), "full": str(full), "zero": str(zero), "edges": str(edges),
+            "dir": str(tmp_path), "out": str(tmp_path / "o.csv"), "nodir": str(tmp_path / "no" / "o.csv")}
+
+
+_PROBES = [
+    ("knn_k0", ["impute", "--in", "{gappy}", "--method", "knn", "--k", "0", "--out", "{out}"], "k must be >= 1"),
+    ("estimate_tol_neg", ["estimate", "--in", "{gappy}", "--tol", "-1"], "tol must be positive"),
+    ("mask_rate_over_1", ["mask", "--mechanism", "mcar", "--rate", "1.5", "--shape", "3", "4", "--out", "{out}"],
+     "rate"),
+    ("mask_driver_row", ["mask", "--mechanism", "mar", "--driver-row", "9", "--data", "{full}", "--out", "{out}"],
+     "driver_row 9"),
+    ("learn_all_zero", ["graph", "learn", "--in", "{zero}", "--out", "{out}"], "all-zero"),
+    ("out_in_missing_dir", ["impute", "--in", "{gappy}", "--out", "{nodir}"], "No such file"),
+    ("ts_fit_dir", ["ts-fit", "--in", "{dir}"], "directory"),
+    ("draws0", ["impute", "--in", "{gappy}", "--draws", "0", "--out", "{out}"], "K must be >= 1"),
+    ("draws_neg", ["impute", "--in", "{gappy}", "--draws", "-1", "--out", "{out}"], "K must be >= 1"),
+    ("estimate_maxiter0", ["estimate", "--in", "{gappy}", "--maxiter", "0"], "max_iter must be >= 1"),
+    ("mask_shape0", ["mask", "--mechanism", "mcar", "--shape", "0", "4", "--out", "{out}"], "mask shape"),
+    ("joint_iters0", ["graph", "joint", "--in", "{gappy}", "--iters", "0", "--out-prefix", "{out}"],
+     "iters >= 1"),
+    ("learn_gmrf_alpha_neg", ["graph", "learn", "--in", "{full}", "--alpha", "-1", "--out", "{out}"],
+     "alpha must be nonnegative"),
+    ("learn_var_alpha_neg",
+     ["graph", "learn", "--in", "{full}", "--model", "var", "--alpha", "-1", "--out", "{out}"],
+     "alpha must be nonnegative"),
+    ("recover_tv_alpha_neg", ["graph", "recover", "--in", "{gappy}", "--graph", "{edges}", "--smoothness", "tv",
+                              "--alpha", "-1", "--out", "{out}"], "alpha must be nonnegative"),
+    ("complete_maxiter0", ["complete", "--in", "{gappy}", "--maxiter", "0", "--out", "{out}"], "max_iter >= 1"),
+    ("complete_tol_neg", ["complete", "--in", "{gappy}", "--tol", "-1", "--out", "{out}"], "tol > 0"),
+    ("joint_sigma_n2_neg", ["graph", "joint", "--in", "{gappy}", "--sigma-n2", "-1", "--out-prefix", "{out}"],
+     "sigma_n2 > 0"),
+]
+
+
+@pytest.mark.parametrize("args, message", [p[1:] for p in _PROBES], ids=[p[0] for p in _PROBES])
+def test_bad_option_value_or_file_exits_2(runner, tmp_path, args, message):
+    files = _probe_files(tmp_path)
+    res = runner.invoke(main, [a.format(**files) for a in args])
+    assert res.exit_code == 2, res.output
+    assert "config error: " in res.output and message in res.output
+    assert len(res.output.strip().splitlines()) == 1
+    assert "Traceback" not in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def _command_paths(group, prefix=()):
+    for name, cmd in sorted(group.commands.items()):
+        yield (*prefix, name)
+        if isinstance(cmd, click.Group):
+            yield from _command_paths(cmd, (*prefix, name))
+
+
+@pytest.mark.parametrize("path", list(_command_paths(main)), ids=" ".join)
+def test_help_exits_0_on_every_subcommand(runner, path):
+    res = runner.invoke(main, [*path, "--help"])
+    assert res.exit_code == 0, res.output
+    assert "Usage:" in res.output
+
+
+@pytest.mark.parametrize(
+    "target, exc, args",
+    [
+        ("sem_selection_fit", RuntimeError("tilted sampler stalled"), ["mnar-fit", "--in", "{gappy}"]),
+        ("hard_impute", np.linalg.LinAlgError("SVD did not converge"),
+         ["complete", "--in", "{gappy}", "--out", "{out}"]),
+    ],
+    ids=["runtime_error", "linalg_error"],
+)
+def test_numerical_failure_exits_4(runner, tmp_path, monkeypatch, target, exc, args):
+    import gapkit.cli as cli
+
+    def fail(*_args, **_kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, target, fail)
+    files = _probe_files(tmp_path)
+    res = runner.invoke(main, [a.format(**files) for a in args])
+    assert res.exit_code == 4
+    assert res.output == f"numerical failure: {exc}\n"
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+# -- fuzz: boundary option values and malformed files on every subcommand -------
+
+# The first candidate of every option is valid on its own.
+_FLOATS = ["0.5", "0", "-1", "1e300", "nan", "inf", "-inf"]
+_COUNTS = ["3", "1", "0", "-1"]  # no huge count: it would only make the run long
+_SIZES = ["2", "0", "-1", "1000000"]
+_SEEDS = ["0", "-1", str(2**64 + 5)]
+_MATRICES = ["@gappy", "@complete", "@holes", "@one", "@empty", "@ragged", "@text", "@dir", "@inf"]
+_MASKS = ["@mask", "@gappy", "@ragged", "@text", "@dir"]
+_SERIES = ["@series", "@unobserved", "@one", "@empty", "@text", "@dir", "@gappy"]
+_EDGES = ["@edges", "@empty", "@text", "@dir", "@gappy"]
+_CONFIGS = ["@cfg", "@cfg2", "@empty", "@text", "@dir", "@json"]
+_FLAG = [""]
+
+# command -> (options -> candidate values, options always given, output option).
+# The always-given ones are the required options and the iteration counts,
+# whose defaults would make one example slow.
+_FUZZ = {
+    "mask": ({"--mechanism": ["mcar", "mar", "mnar"], "--shape": ["3 4", "1 1", "0 4", "-1 2"],
+              "--data": _MATRICES, "--rate": _FLOATS, "--phi0": _FLOATS, "--phi1": _FLOATS,
+              "--driver-row": _SIZES, "--seed": _SEEDS, "--classify": _FLAG},
+             {"--mechanism", "--shape"}, "--out"),
+    "impute": ({"--in": _MATRICES, "--mask": _MASKS, "--method": ["mean", "knn", "condgauss", "iterative"],
+                "--k": _SIZES, "--add-noise": _FLAG, "--draws": _COUNTS, "--seed": _SEEDS},
+               {"--in"}, "--out"),
+    "estimate": ({"--in": _MATRICES, "--mask": _MASKS, "--model": ["gaussian", "student"],
+                  "--evariant": ["exact", "sem", "mcem", "saem"], "--mvariant": ["full", "ecm", "ecme", "gem"],
+                  "--structure": ["factor:1", "floor:0.5", "factor:0", "floor:-1", "floor:nan", "nope"],
+                  "--estimate-nu": _FLAG, "--tol": _FLOATS, "--maxiter": _COUNTS, "--seed": _SEEDS},
+                 {"--in", "--maxiter"}, "--out"),
+    "mnar-fit": ({"--in": _MATRICES, "--mask": _MASKS, "--phi0": _FLOATS, "--phi1-init": _FLOATS,
+                  "--iters": _COUNTS, "--burnin": ["1", "0", "-1", "3"], "--seed": _SEEDS},
+                 {"--in", "--iters", "--burnin"}, "--out"),
+    "complete": ({"--in": _MATRICES, "--mask": _MASKS, "--mode": ["hard", "soft"], "--rank": _SIZES,
+                  "--lam": _FLOATS, "--tol": _FLOATS, "--maxiter": _COUNTS}, {"--in", "--maxiter"}, "--out"),
+    "track": ({"--stream": _MATRICES, "--mode": ["petrels", "robust"], "--rank": _SIZES, "--forget": _FLOATS,
+               "--rho": _FLOATS, "--alpha": _FLOATS, "--truth": ["@basis", *_MATRICES], "--seed": _SEEDS},
+              {"--stream"}, "--out"),
+    "graph recover": ({"--in": _MATRICES, "--mask": _MASKS, "--graph": _EDGES,
+                       "--smoothness": ["tikhonov", "tv"], "--fidelity": ["exact", "squared", "huber"],
+                       "--alpha": _FLOATS, "--beta": _FLOATS}, {"--in", "--graph"}, "--out"),
+    "graph learn": ({"--in": ["@complete", *_MATRICES], "--model": ["gmrf", "var"], "--alpha": _FLOATS},
+                    {"--in"}, "--out"),
+    "graph joint": ({"--in": _MATRICES, "--mask": _MASKS, "--alpha-a": _FLOATS, "--alpha-l": _FLOATS,
+                     "--sigma-n2": _FLOATS, "--iters": _COUNTS}, {"--in", "--iters"}, "--out-prefix"),
+    "ts-fit": ({"--in": _SERIES, "--iters": _COUNTS, "--nu": ["5", *_FLOATS], "--seed": _SEEDS},
+               {"--in", "--iters"}, "--out"),
+    "ts-impute": ({"--in": _SERIES, "--draws": _COUNTS, "--mu": _FLOATS, "--a": _FLOATS, "--sigma": _FLOATS,
+                   "--nu": ["5", *_FLOATS], "--seed": _SEEDS},
+                  {"--in", "--draws", "--mu", "--a", "--sigma", "--nu"}, "--out"),
+    "bench": ({"--config": _CONFIGS}, {"--config"}, "--out-dir"),
+    # a key's first word is the option: "--config #2" gives compare its second config
+    "compare": ({"--config": _CONFIGS, "--config #2": ["@cfg2", *_CONFIGS]}, {"--config", "--config #2"},
+                "--out"),
+}
+
+_BENCH_CFG = """[dataset]
+kind = gaussian
+p = 2
+n = 12
+
+[mechanism]
+kind = mcar
+rate = 0.2
+
+[method]
+module = impute
+method = {}
+
+[run]
+replicates = 2
+seed = 1
+"""
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(31)
+    vals = rng.standard_normal((3, 8))
+    mask = (rng.random((3, 8)) > 0.3).astype(int)
+    mask[:, 0] = 1
+    holes = mask.copy()
+    holes[1], holes[:, 3] = 0, 0
+    series = np.sin(np.arange(30.0))
+    texts = {
+        "empty": "",
+        "ragged": "1.0,2.0\n3.0\n",
+        "text": "1.0,abc\n2.0,3.0\n",
+        "inf": "1.0,inf\n2.0,3.0\n",
+        "one": "1.5\n",
+        "unobserved": "\n\n\n",
+        "edges": "0,1,1.0\n1,2,0.5\n",
+        "cfg": _BENCH_CFG.format("mean"),
+        "cfg2": _BENCH_CFG.format("condgauss"),
+        "json": '{"dataset": 1, "method": []}\n',
+        "series": "".join("\n" if 10 <= t < 13 else f"{v!r}\n" for t, v in enumerate(series.tolist())),
+    }
+    paths = {"dir": str(base)}
+    for name, text in texts.items():
+        (base / name).write_text(text, encoding="utf-8")
+        paths[name] = str(base / name)
+    matrices = {"gappy": (vals, mask), "complete": (vals, None), "holes": (vals, holes),
+                "basis": (np.linalg.qr(vals[:, :2])[0], None), "mask": (mask, None)}
+    for name, (X, M) in matrices.items():
+        write_matrix_csv(base / name, X, M)
+        paths[name] = str(base / name)
+    return paths
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ))
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_exit_codes(fuzz_files, tmp_path, command, data):
+    options, always, out_option = _FUZZ[command]
+    # At most three options leave their first, valid value, so that many
+    # examples get past validation into the numerics.
+    odd = data.draw(st.lists(st.sampled_from(sorted(options)), max_size=3, unique=True), label="odd")
+    args = command.split()
+    for name in sorted(options):
+        if name in odd:
+            value = data.draw(st.sampled_from(options[name]), label=name)
+        elif name in always:
+            value = options[name][0]
+        else:
+            continue
+        value = fuzz_files[value[1:]] if value.startswith("@") else value
+        args += [name.split()[0], *value.split()]
+    # tmp_path is shared by all examples of a command: each gets a fresh subdirectory
+    out_dir = tmp_path / f"out{len(os.listdir(tmp_path))}"
+    out_dir.mkdir()
+    missing = data.draw(st.booleans(), label="output in a missing directory")
+    args += [out_option, str(out_dir / "missing" / "o" if missing else out_dir / "o")]
+    res = CliRunner().invoke(main, args)
+    allowed = {0, 2, 3, 4} if command == "bench" else {0, 2, 4}
+    assert res.exit_code in allowed, (args, res.output, res.exception)
+    assert "Traceback" not in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit), (args, res.exception)
+    if res.exit_code == 0:
+        assert os.listdir(out_dir), args

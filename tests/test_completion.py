@@ -128,3 +128,19 @@ def test_nuclear_objective_values():
 def test_nuclear_objective_shape_check():
     with pytest.raises(ValueError):
         nuclear_objective(np.ones((2, 2)), np.ones((2, 3)), np.ones((2, 2)), 0.0)
+
+
+@pytest.mark.parametrize("complete", [lambda Y, **kw: hard_impute(Y, 1, **kw),
+                                      lambda Y, **kw: soft_impute(Y, 0.5, **kw)], ids=["hard", "soft"])
+@pytest.mark.parametrize("stop", [{"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan}, {"max_iter": 0}])
+def test_completion_rejects_bad_stopping_rule(complete, stop):
+    Y = IncompleteMatrix([[1.0, 2.0], [3.0, 0.0]], [[1, 1], [1, 0]])
+    with pytest.raises(ValueError, match="tol > 0 and max_iter >= 1"):
+        complete(Y, **stop)
+
+
+@pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+def test_soft_impute_rejects_bad_lambda(lam):
+    Y = IncompleteMatrix([[1.0, 2.0], [3.0, 0.0]], [[1, 1], [1, 0]])
+    with pytest.raises(ValueError, match="lam"):
+        soft_impute(Y, lam)

@@ -204,3 +204,11 @@ def test_pattern_groups_partition_columns(mask_cols):
     firsts = [g[2][0] for g in groups]
     assert firsts == sorted(firsts)  # first-appearance order
     assert X.pattern_groups is groups
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf"])
+def test_read_matrix_csv_rejects_infinite_value(tmp_path, token):
+    path = tmp_path / "x.csv"
+    path.write_text(f"1.0,{token}\n2.0,\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="finite"):
+        read_matrix_csv(path)

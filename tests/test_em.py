@@ -463,3 +463,9 @@ def test_generator_k_distribution_positive_and_normalized():
 def test_generator_rejects_negative_radius():
     with pytest.raises(ValueError):
         DensityGenerator(GeneratorKind.GAUSSIAN)(np.array([-1.0]), dim=1)
+
+
+@pytest.mark.parametrize("cfg", [{"max_iter": 0}, {"tol": np.nan}])
+def test_em_config_rejects_bad_stopping_rule(cfg):
+    with pytest.raises(ValueError, match="max_iter|tol"):
+        EmConfig(**cfg)

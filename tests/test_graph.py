@@ -7,7 +7,6 @@ from gapkit.graph import (
     DirectedGraph,
     FidelityKind,
     RecoveryConfig,
-    RegularizerKind,
     SmoothnessKind,
     UndirectedGraph,
     gmrf_learn,
@@ -378,15 +377,6 @@ def test_stsrgl_requires_observed_columns():
         stsrgl_fit(Y)
 
 
-def test_recover_tikhonov_rejects_other_smoothness():
-    Y = IncompleteMatrix([[0.0], [0.0], [2.0]], [[1], [0], [1]])
-    for kind in SmoothnessKind:
-        if kind is SmoothnessKind.TIKHONOV:
-            continue
-        with pytest.raises(ValueError, match=kind.value):
-            recover_tikhonov(Y, PATH3, RecoveryConfig(smoothness=kind))
-
-
 # -- per-call work does not grow with the column count --------------------------
 
 
@@ -440,7 +430,6 @@ def test_filled_calls_constant_in_n(monkeypatch, run):
 def _huber_irls_lstsq(Y, W, cfg):
     """Reference IRLS: one dense least-squares solve per reweighting."""
     L = np.diag(W.sum(axis=1)) - W
-    beta = cfg.beta if cfg.regularizer is RegularizerKind.FROBENIUS else 0.0
     y_full = Y.filled(0.0)
     out = np.empty(Y.shape)
     for j in range(Y.n):
@@ -449,7 +438,7 @@ def _huber_irls_lstsq(Y, W, cfg):
         for _ in range(cfg.max_iter):
             a = np.abs(y_full[:, j] - x)
             omega = m * np.where(a <= cfg.delta, 1.0, cfg.delta / np.maximum(a, 1e-300))
-            H = np.diag(omega) + 2.0 * cfg.alpha * L + 2.0 * beta * np.eye(Y.p)
+            H = np.diag(omega) + 2.0 * cfg.alpha * L + 2.0 * cfg.beta * np.eye(Y.p)
             x_new = np.linalg.lstsq(H, omega * y_full[:, j], rcond=None)[0]
             done = np.abs(x_new - x).max() < cfg.tol * (1.0 + np.abs(x).max())
             x = x_new
@@ -463,10 +452,7 @@ def _huber_irls_lstsq(Y, W, cfg):
     "cfg",
     [
         RecoveryConfig(fidelity=FidelityKind.HUBER, alpha=0.5, delta=0.05),
-        RecoveryConfig(
-            fidelity=FidelityKind.HUBER, alpha=0.2, beta=0.1, delta=0.1,
-            regularizer=RegularizerKind.FROBENIUS,
-        ),
+        RecoveryConfig(fidelity=FidelityKind.HUBER, alpha=0.2, beta=0.1, delta=0.1),
         RecoveryConfig(fidelity=FidelityKind.HUBER, alpha=0.0, beta=0.0, delta=0.1),
     ],
     ids=["alpha", "alpha_beta", "unregularized"],
@@ -478,3 +464,33 @@ def test_huber_recovery_matches_lstsq_reference(cfg):
     vals = Y.values + np.where(rng.random(Y.shape) < 0.1, 3.0, 0.0)  # outliers
     Y = IncompleteMatrix(np.nan_to_num(vals), Y.mask)
     assert_allclose(recover_tikhonov(Y, W, cfg), _huber_irls_lstsq(Y, W, cfg), rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"iters": 0}, "iters >= 1"), ({"sigma_n2": 0.0}, "sigma_n2 > 0"), ({"sigma_n2": np.nan}, "sigma_n2 > 0"),
+     ({"alpha_a": -1.0}, "alpha_a"), ({"alpha_l": -0.1}, "alpha_l"), ({"alpha_l": np.inf}, "alpha_l")],
+)
+def test_stsrgl_rejects_bad_settings(kwargs, message):
+    Y = IncompleteMatrix(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ValueError, match=message):
+        stsrgl_fit(Y, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "learn",
+    [lambda alpha: gmrf_learn(np.eye(3), alpha),
+     lambda alpha: var_learn(np.ones((3, 4)), alpha),
+     lambda alpha: recover_tv(IncompleteMatrix([[0.0], [0.0], [2.0]], [[1], [0], [1]]), PATH3, alpha=alpha)],
+    ids=["gmrf_learn", "var_learn", "recover_tv"],
+)
+@pytest.mark.parametrize("alpha", [-1.0, np.nan, np.inf])
+def test_penalty_weight_must_be_nonnegative_and_finite(learn, alpha):
+    with pytest.raises(ValueError, match="alpha must be nonnegative"):
+        learn(alpha)
+
+
+@pytest.mark.parametrize("field", [{"alpha": np.nan}, {"beta": np.inf}, {"delta": np.nan}])
+def test_recovery_config_rejects_non_finite(field):
+    with pytest.raises(ValueError, match="finite"):
+        RecoveryConfig(**field)

@@ -245,3 +245,10 @@ def test_import_does_not_load_scipy_stats():
     code = "import sys, gapkit.cli; print('scipy.stats' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_json_config_of_wrong_types_is_config_error(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dataset": 1, "method": []}', encoding="utf-8")
+    with pytest.raises(ConfigError, match="malformed config"):
+        load_config(path)

@@ -175,3 +175,22 @@ def test_is_ignorable():
     assert is_ignorable(MechanismKind.MNAR_SELF_MASK, True) is False
     assert is_ignorable(MechanismKind.MAR, False) is False
     assert is_ignorable(MechanismKind.MAR, True) is True
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0), (-1, 2)])
+def test_gen_mask_rejects_empty_shape(shape):
+    with pytest.raises(ValueError, match="mask shape"):
+        gen_mask(shape, MechanismSpec(MechanismKind.MCAR, rate=0.2))
+
+
+@pytest.mark.parametrize("row", [3, -1])
+def test_mar_driver_row_out_of_range_is_value_error(row):
+    spec = MechanismSpec(MechanismKind.MAR, driver_row=row, phi1=1.0)
+    with pytest.raises(ValueError, match=f"driver_row {row} .* p=3"):
+        gen_mask((3, 5), spec, X=np.zeros((3, 5)))
+
+
+@pytest.mark.parametrize("phi", [{"phi0": np.nan}, {"phi1": np.inf}])
+def test_mechanism_spec_rejects_non_finite_phi(phi):
+    with pytest.raises(ValueError, match="finite"):
+        MechanismSpec(MechanismKind.MNAR_SELF_MASK, **phi)

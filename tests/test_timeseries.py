@@ -349,3 +349,17 @@ def test_accept_rate_nan_without_interior_gaps():
     fit = ar1t_fit_saem(y, cfg=EmConfig(max_iter=10))
     assert np.isnan(fit.accept_rate)
     assert np.all(np.isfinite([fit.params.mu, fit.params.a, fit.params.sigma, fit.params.nu]))
+
+
+def test_mi_requires_sweeps():
+    # sweeps=0 used to return K copies of the linear interpolation as draws
+    y = np.array([0.0, 1.0, np.nan, np.nan, 2.0, 1.5])
+    with pytest.raises(ValueError, match="sweeps"):
+        ar1t_multiple_impute(y, Ar1StudentParams(0, 0.5, 1, 5), 3, sweeps=0)
+
+
+@pytest.mark.parametrize("field", ["mu", "a", "sigma", "nu"])
+def test_params_reject_non_finite(field):
+    values = {"mu": 0.0, "a": 0.5, "sigma": 1.0, "nu": 5.0, field: np.nan}
+    with pytest.raises(ValueError, match="finite"):
+        Ar1StudentParams(**values)
