@@ -100,6 +100,15 @@ def _read_lines(path, parse):
     return out
 
 
+def _only_under(ctx, names, setting):
+    """Reject each option in names given on the command line: it applies
+    under setting only, and the command line chose another."""
+    given = [f"--{name.replace('_', '-')}" for name in names
+             if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
+    if given:
+        raise ValueError(f"{' and '.join(given)} appl{'ies' if len(given) == 1 else 'y'} to {setting} only")
+
+
 def _finite(token):
     value = float(token)
     if not math.isfinite(value):
@@ -118,8 +127,15 @@ def _finite(token):
 @click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--classify", is_flag=True, help="print the pattern class of the mask")
-def mask_cmd(mechanism, shape, data_path, rate, phi0, phi1, driver_row, seed, out, classify):
+@click.pass_context
+def mask_cmd(ctx, mechanism, shape, data_path, rate, phi0, phi1, driver_row, seed, out, classify):
     """Draw an observation mask under a missingness mechanism."""
+    if mechanism == "mcar":
+        _only_under(ctx, ("phi0", "phi1"), "--mechanism mar or mnar")
+    else:
+        _only_under(ctx, ("rate",), "--mechanism mcar")
+    if mechanism != "mar":
+        _only_under(ctx, ("driver_row",), "--mechanism mar")
     spec = MechanismSpec(
         MechanismKind(mechanism), rate=rate, driver_row=driver_row, phi0=phi0, phi1=phi1
     )
@@ -144,8 +160,13 @@ def mask_cmd(mechanism, shape, data_path, rate, phi0, phi1, driver_row, seed, ou
 @click.option("--draws", type=int, default=1, help="multiple-imputation draw count")
 @click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path(), required=True)
-def impute_cmd(in_path, mask_path, method, k, add_noise, draws, seed, out):
+@click.pass_context
+def impute_cmd(ctx, in_path, mask_path, method, k, add_noise, draws, seed, out):
     """Fill the holes of a CSV matrix."""
+    if method != "knn":
+        _only_under(ctx, ("k",), "--method knn")
+    if method in ("mean", "knn"):
+        _only_under(ctx, ("add_noise",), "--method condgauss or iterative")
     X = read_matrix_csv(in_path, mask_path)
     spec = ImputerSpec(ImputerKind(method), k=k, add_noise=add_noise)
     if draws != 1:
@@ -258,8 +279,13 @@ def mnar_fit_cmd(in_path, mask_path, phi0, phi1_init, iters, burnin, seed, out):
 @click.option("--tol", type=float, default=1e-6)
 @click.option("--maxiter", type=int, default=500)
 @click.option("--out", type=click.Path(), required=True)
-def complete_cmd(in_path, mask_path, mode, rank, lam, tol, maxiter, out):
+@click.pass_context
+def complete_cmd(ctx, in_path, mask_path, mode, rank, lam, tol, maxiter, out):
     """Low-rank completion of a gappy CSV matrix."""
+    if mode == "hard":
+        _only_under(ctx, ("lam",), "--mode soft")
+    else:
+        _only_under(ctx, ("rank",), "--mode hard")
     X = read_matrix_csv(in_path, mask_path)
     if mode == "hard":
         res = hard_impute(X, rank, tol=tol, max_iter=maxiter)
@@ -284,10 +310,7 @@ def complete_cmd(in_path, mask_path, mode, rank, lam, tol, maxiter, out):
 def track_cmd(ctx, stream, mode, rank, forget, rho, alpha, truth, seed, out):
     """Stream a gappy matrix through the subspace tracker; per-step CSV out."""
     if mode == "petrels":
-        given = [f"--{name}" for name in ("rho", "alpha")
-                 if ctx.get_parameter_source(name) is not ParameterSource.DEFAULT]
-        if given:
-            raise ValueError(f"{' and '.join(given)} apply to --mode robust only")
+        _only_under(ctx, ("rho", "alpha"), "--mode robust")
     Y = read_matrix_csv(stream)
     state = petrels_init(Y.p, rank, SeedSpec(seed), lambda_forget=forget)
     cfg = RobustConfig(rho=rho, alpha_reg=alpha)
@@ -360,8 +383,11 @@ def _write_edge_csv(path, pairs):
 @click.option("--alpha", type=float, default=1.0)
 @click.option("--beta", type=float, default=0.0, help="Frobenius weight (squared or huber fidelity)")
 @click.option("--out", type=click.Path(), required=True)
-def graph_recover_cmd(in_path, mask_path, graph_path, smooth, fidelity, alpha, beta, out):
+@click.pass_context
+def graph_recover_cmd(ctx, in_path, mask_path, graph_path, smooth, fidelity, alpha, beta, out):
     """Interpolate missing node signals on a known graph."""
+    if smooth == "tv":
+        _only_under(ctx, ("fidelity",), "--smoothness tikhonov")
     if beta != 0 and (smooth == "tv" or fidelity == "exact"):
         raise ValueError("--beta applies to tikhonov smoothness with squared or huber fidelity only")
     Y = read_matrix_csv(in_path, mask_path)

@@ -90,6 +90,25 @@ class IncompleteMatrix:
             out.append((obs, mis, np.array(cols)))
         return tuple(out)
 
+    @cached_property
+    def pattern_batches(self) -> tuple[tuple[NDArray, ...], ...]:
+        """pattern_groups stacked by observed count k, in ascending k:
+        ((obs, mis, cols, group, draw), ...). obs (g, k) and mis (g, p - k)
+        hold the rows of the batch's g groups, cols its c columns group by
+        group, and group (c,) each column's index into obs and mis. draw
+        (c, p - k) ranks every hole group by group in pattern_groups order,
+        then by missing row, then by column: the order a per-group loop draws."""
+        by_k, first = {}, 0
+        for obs, mis, cols in self.pattern_groups:
+            draw = first + np.arange(len(cols))[:, None] + len(cols) * np.arange(len(mis))
+            by_k.setdefault(len(obs), []).append((obs, mis, cols, draw))
+            first += draw.size
+        return tuple(
+            (np.array(obs, dtype=np.intp), np.array(mis, dtype=np.intp), np.concatenate(cols),
+             np.repeat(np.arange(len(cols)), [len(c) for c in cols]), np.concatenate(draw))
+            for obs, mis, cols, draw in (zip(*members) for _, members in sorted(by_k.items()))
+        )
+
     def filled(self, fill_value: float = 0.0) -> NDArray:
         """Copy of values with missing entries replaced by fill_value."""
         out = self.values.copy()
@@ -201,10 +220,13 @@ def read_matrix_csv(path, mask_path=None) -> IncompleteMatrix:
         raise ValueError(f"ragged CSV rows in {path}")
     values = np.array(rows, dtype=float)
     if mask_path is not None:
-        mask = np.loadtxt(mask_path, delimiter=",", dtype=float, ndmin=2)
+        try:
+            mask = np.loadtxt(mask_path, delimiter=",", dtype=float, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"mask file {mask_path}: {exc}") from exc
         if mask.shape != values.shape:
             raise ValueError(
-                f"shape mismatch: values {values.shape} vs mask {mask.shape}"
+                f"mask file {mask_path}: shape mismatch: values {values.shape} vs mask {mask.shape}"
             )
         holes = np.argwhere(np.isnan(values) & (mask == 1))
         if len(holes):

@@ -10,12 +10,12 @@ generalized step that only guarantees surrogate ascent.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg.lapack import dpotrf, dtrtrs
 from scipy.special import gammaln, kv
 
 from .core import ColumnSplit, IncompleteMatrix, SeedSpec
@@ -190,34 +190,50 @@ class DensityGenerator:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian conditioning on the observed block of each missing-data pattern.
+# Gaussian conditioning on the observed rows of every column, batched by the
+# observed count k of its missing-data pattern.
 # ---------------------------------------------------------------------------
 
 
-def _condition(mu, sigma, obs, mis, x_o):
-    """Condition N(mu, sigma) on the observed rows of one pattern group.
+def _condition(mu, sigma, obs, mis, group, x_o):
+    """Condition N(mu, sigma) on the observed rows of a batch of columns.
 
-    x_o holds the observed values, one column per member of the group. S_oo
-    is Cholesky-factored once (S_oo = L L^T) and one triangular solve against
-    [x_o - mu_o | S_om] gives z = L^-1 (x_o - mu_o) and V = L^-1 S_om. Returns
-    (delta, logdet, mu_c, sigma_c): the Mahalanobis terms sum(z^2) per column,
-    log det S_oo, the conditional means mu_m + V^T z (one column per member)
-    and the conditional covariance S_mm - V^T V. An empty observed block
-    gives delta = 0, logdet = 0 and the marginal moments of the missing rows.
+    obs (g, k) and mis (g, m) hold the rows of g patterns with k observed
+    rows, x_o (c, k) the observed values of c columns and group (c,) the
+    pattern of each. One batched Cholesky S_oo = L L^T and one batched solve
+    [L^-1 | V] = L^-1 [I | S_om] serve all columns; z = L^-1 (x_o - mu_o).
+    Returns sum(z^2) (c,), log det S_oo (g,), the conditional means
+    mu_m + V^T z (c, m) and covariances S_mm - V^T V (g, m, m).
     """
-    c = x_o.shape[1]
-    mu_m = mu[mis, None]
-    S_mm = sigma[np.ix_(mis, mis)]
-    if len(obs) == 0:
-        return np.zeros(c), 0.0, np.repeat(mu_m, c, axis=1), S_mm
-    L, info = dpotrf(sigma[np.ix_(obs, obs)], lower=1)
-    if info != 0:
-        raise ValueError("singular observed-block covariance")
-    ZV, _ = dtrtrs(L, np.hstack([x_o - mu[obs, None], sigma[np.ix_(obs, mis)]]), lower=1)
-    z, V = ZV[:, :c], ZV[:, c:]
-    delta = np.sum(z * z, axis=0)
-    logdet = 2.0 * np.sum(np.log(np.diag(L)))
-    return delta, logdet, mu_m + V.T @ z, S_mm - V.T @ V
+    k = obs.shape[1]
+    try:
+        L = np.linalg.cholesky(sigma[obs[:, :, None], obs[:, None, :]])
+    except np.linalg.LinAlgError:
+        raise ValueError("singular observed-block covariance") from None
+    eye = np.broadcast_to(np.eye(k), L.shape)
+    W = np.linalg.solve(L, np.concatenate([eye, sigma[obs[:, :, None], mis[:, None, :]]], axis=2))
+    V = W[:, :, k:]
+    z = np.einsum("cij,cj->ci", W[group, :, :k], x_o - mu[obs][group])
+    logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+    mu_c = mu[mis][group] + np.einsum("cij,ci->cj", V[group], z)
+    return np.einsum("ci,ci->c", z, z), logdet, mu_c, sigma[mis[:, :, None], mis[:, None, :]] - V.mT @ V
+
+
+_Conditioned = namedtuple("_Conditioned", "k delta logdet mean covs")
+
+
+def _condition_all(mu, sigma, X: IncompleteMatrix) -> _Conditioned:
+    """Condition N(mu, sigma) on the observed rows of every column of X, one
+    _condition call per k. Per column: k observed rows, delta and log det
+    S_oo (both 0 for k = 0); mean is X with every hole at its conditional
+    mean; covs holds each pattern batch's conditional covariances."""
+    delta, logdet, mean, covs = np.zeros(X.n), np.zeros(X.n), X.values.copy(), []
+    for obs, mis, cols, group, _ in X.pattern_batches:
+        d, ld, mu_c, sigma_c = _condition(mu, sigma, obs, mis, group, X.values[obs[group], cols[:, None]])
+        delta[cols], logdet[cols] = d, ld[group]
+        mean[mis[group], cols[:, None]] = mu_c
+        covs.append(sigma_c)
+    return _Conditioned(X.mask.sum(axis=0), delta, logdet, mean, tuple(covs))
 
 
 def conditional_gaussian(params: GaussianParams, split: ColumnSplit):
@@ -229,48 +245,35 @@ def conditional_gaussian(params: GaussianParams, split: ColumnSplit):
     o, m = split.observed_idx, split.missing_idx
     if len(m) == 0:
         return np.empty(0), np.empty((0, 0))
-    _, _, mu_c, sigma_c = _condition(params.mu, params.sigma, o, m, split.x_o[:, None])
-    return mu_c[:, 0], 0.5 * (sigma_c + sigma_c.T)
+    _, _, mu_c, sigma_c = _condition(params.mu, params.sigma, o[None], m[None], [0], split.x_o[None])
+    return mu_c[0], 0.5 * (sigma_c[0] + sigma_c[0].T)
 
 
-def _observed_blocks(mu, sigma, X: IncompleteMatrix):
-    """[(k, logdet, delta)] of the pattern groups with k > 0 observed rows."""
-    no_rows = np.empty(0, dtype=np.intp)
-    blocks = []
-    for obs, _mis, cols in X.pattern_groups:
-        if len(obs) > 0:
-            delta, logdet, _, _ = _condition(mu, sigma, obs, no_rows, X.values[np.ix_(obs, cols)])
-            blocks.append((len(obs), logdet, delta))
-    return blocks
+def _gaussian_loglik(cond: _Conditioned) -> float:
+    """Observed-marginal Gaussian log likelihood; k = 0 columns add 0."""
+    return float(np.sum(-0.5 * (cond.k * LOG_2PI + cond.logdet + cond.delta)))
+
+
+def _student_loglik(cond: _Conditioned, nu):
+    """Observed-marginal Student-t log likelihood at a scalar nu, or at each
+    entry of a vector of them."""
+    nu = np.asarray(nu, dtype=float)[..., None]
+    count = np.bincount(cond.k)  # columns per observed count k
+    k = np.arange(len(count))
+    logc = gammaln((nu + k) / 2.0) - gammaln(nu / 2.0) - (k / 2.0) * np.log(nu * math.pi)
+    radial = np.sum((nu + cond.k) / 2.0 * np.log1p(cond.delta / nu), axis=-1)
+    return logc @ count - 0.5 * np.sum(cond.logdet) - radial
 
 
 def observed_loglik_gaussian(params: GaussianParams, X: IncompleteMatrix) -> float:
-    """Sum over columns of the observed-marginal Gaussian log density.
-
-    Fully missing columns contribute zero.
-    """
-    total = 0.0
-    for k, logdet, delta in _observed_blocks(params.mu, params.sigma, X):
-        total += float(np.sum(-0.5 * (k * LOG_2PI + logdet + delta)))
-    return total
+    """Sum over columns of the observed-marginal Gaussian log density; fully
+    missing columns contribute zero."""
+    return _gaussian_loglik(_condition_all(params.mu, params.sigma, X))
 
 
 def observed_loglik_student(params: StudentTParams, X: IncompleteMatrix) -> float:
     """Observed-marginal Student-t log likelihood (marginals keep nu)."""
-    return _student_loglik(_observed_blocks(params.mu, params.sigma, X), params.nu)
-
-
-def _student_loglik(blocks, nu):
-    total = 0.0
-    for k, logdet, delta in blocks:
-        logc = (
-            gammaln((nu + k) / 2.0)
-            - gammaln(nu / 2.0)
-            - (k / 2.0) * math.log(nu * math.pi)
-            - 0.5 * logdet
-        )
-        total += float(np.sum(logc - (nu + k) / 2.0 * np.log1p(delta / nu)))
-    return total
+    return float(_student_loglik(_condition_all(params.mu, params.sigma, X), params.nu))
 
 
 # ---------------------------------------------------------------------------
@@ -278,50 +281,42 @@ def _student_loglik(blocks, nu):
 # ---------------------------------------------------------------------------
 
 
-def _complete_gaussian(params: GaussianParams, X: IncompleteMatrix, rng=None):
-    """Copy of X.values with every hole set to its conditional mean or, given
-    rng, with each column's missing block drawn from its conditional."""
-    out = X.values.copy()
-    for obs, mis, cols in X.pattern_groups:
-        if len(mis) == 0:
-            continue
-        _, _, mu_c, sigma_c = _condition(
-            params.mu, params.sigma, obs, mis, X.values[np.ix_(obs, cols)]
-        )
-        if rng is not None:
-            mu_c = mu_c + _chol_psd(sigma_c) @ rng.standard_normal(mu_c.shape)
-        out[np.ix_(mis, cols)] = mu_c
+def _completed(X: IncompleteMatrix, cond: _Conditioned, rng=None, w=None):
+    """X with every hole at its conditional mean (cond.mean) or, given rng,
+    each column's missing block drawn from its conditional, the noise divided
+    by sqrt(w) per column when w is given. The standard normals are drawn in
+    pattern_groups order."""
+    if rng is None:
+        return cond.mean
+    out, z = cond.mean.copy(), rng.standard_normal(X.n_missing())
+    for (_, mis, cols, group, draw), sigma_c in zip(X.pattern_batches, cond.covs):
+        noise = np.einsum("cij,cj->ci", _chol_psd(sigma_c)[group], z[draw])
+        out[mis[group], cols[:, None]] += noise if w is None else noise / np.sqrt(w[cols])[:, None]
     return out
 
 
-def _gaussian_stats(params: GaussianParams, X: IncompleteMatrix, rng):
-    """Sufficient statistics (sum x, sum x x^T) of the completed columns.
-
-    Exact when rng is None: conditional means fill the holes and the
-    conditional covariance enters the missing block of the second moment.
-    Otherwise the statistics of one conditional draw.
-    """
-    if rng is not None:
-        Xc = _complete_gaussian(params, X, rng)
-        return Xc.sum(axis=1), Xc @ Xc.T
-    S1 = np.zeros(params.p)
-    S2 = np.zeros((params.p, params.p))
-    for obs, mis, cols in X.pattern_groups:
-        Xc = X.values[:, cols].copy()
-        if len(mis) > 0:
-            _, _, mu_c, sigma_c = _condition(params.mu, params.sigma, obs, mis, Xc[obs])
-            Xc[mis] = mu_c
-            S2[np.ix_(mis, mis)] += len(cols) * sigma_c
-        S1 += Xc.sum(axis=1)
-        S2 += Xc @ Xc.T
-    return S1, S2
+def _moments(X: IncompleteMatrix, cond: _Conditioned, w, rng=None):
+    """Weighted statistics (sum w, sum w x, sum w x x^T) of the completed
+    columns. Exact when rng is None: conditional means fill the holes and the
+    conditional covariance enters the missing block of the second moment (for
+    a Student-t texture, E[tau (x_m - mu_c)(x_m - mu_c)^T] = Sigma_m|o).
+    Otherwise one conditional draw, its noise divided by sqrt(w) per column."""
+    Xc = _completed(X, cond, rng, w)
+    S2 = (Xc * w) @ Xc.T
+    if rng is None:  # each column's conditional covariance, in its missing block
+        for (_, mis, _, group, _), sigma_c in zip(X.pattern_batches, cond.covs):
+            np.add.at(S2, (mis[:, :, None], mis[:, None, :]), np.bincount(group)[:, None, None] * sigma_c)
+    return float(w.sum()), Xc @ w, S2
 
 
 def _chol_psd(S):
-    """Cholesky factor tolerant of tiny negative eigenvalues."""
+    """Cholesky factor of each covariance in a stack; for one that is not
+    numerically PD, a factor from eigh with tiny negative eigenvalues zeroed."""
     try:
         return np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
+        if S.ndim > 2:
+            return np.stack([_chol_psd(s) for s in S])
         w, V = np.linalg.eigh(0.5 * (S + S.T))
         return V * np.sqrt(np.maximum(w, 0.0))
 
@@ -398,28 +393,30 @@ def _check_rows(X: IncompleteMatrix):
         raise ValueError("every row must be observed at least twice")
 
 
-def _em_loop(X, params, cfg: EmConfig, stats, m_step, loglik, saem_draws=1) -> EmFit:
+def _em_loop(params, cfg: EmConfig, estep, m_step) -> EmFit:
     """Iterate E- and M-steps from params under cfg's E-variant.
 
-    stats(params, X, rng) returns a tuple of E-step statistics: the exact
-    ones when rng is None, else those of one conditional draw. SEM uses one
-    draw, MCEM averages cfg.mcem_draws draws, and SAEM averages saem_draws
-    draws and smooths them with the cfg.saem_gamma schedule. m_step(stats,
-    params) returns the next parameters. Stops when loglik(params, X) moves
-    less than cfg.tol.
+    estep(params) factors every observed block once and returns the observed
+    log likelihood at params and stats(rng), a tuple of E-step statistics:
+    exact when rng is None, else from one conditional draw. SEM and SAEM use
+    one draw, MCEM averages cfg.mcem_draws, SAEM smooths with cfg.saem_gamma.
+    m_step(stats, params) returns the next parameters, whose E-step gives the
+    trace's log likelihood too: n_iter iterations factor n_iter + 1 times.
+    Stops when the log likelihood moves less than cfg.tol.
     """
     rng = cfg.seed.rng()
-    n_draws = {EVariant.SEM: 1, EVariant.MCEM: cfg.mcem_draws, EVariant.SAEM: saem_draws}
-    trace = [loglik(params, X)]
+    n_draws = cfg.mcem_draws if cfg.e_variant is EVariant.MCEM else 1
+    loglik, stats = estep(params)
+    trace = [loglik]
     mu_trace = [params.mu.copy()]
     smooth = None  # SAEM running statistics
     converged = False
     it = 0
     for it in range(1, cfg.max_iter + 1):
         if cfg.e_variant is EVariant.EXACT:
-            cur = stats(params, X, None)
+            cur = stats(None)
         else:
-            draws = [stats(params, X, rng) for _ in range(n_draws[cfg.e_variant])]
+            draws = [stats(rng) for _ in range(n_draws)]
             cur = tuple(sum(s) / len(draws) for s in zip(*draws))
         if cfg.e_variant is EVariant.SAEM:
             if smooth is not None:
@@ -427,7 +424,8 @@ def _em_loop(X, params, cfg: EmConfig, stats, m_step, loglik, saem_draws=1) -> E
                 cur = tuple(s + gamma * (c - s) for s, c in zip(smooth, cur))
             smooth = cur
         params = m_step(cur, params)
-        trace.append(loglik(params, X))
+        loglik, stats = estep(params)
+        trace.append(loglik)
         mu_trace.append(params.mu.copy())
         if abs(trace[-1] - trace[-2]) < cfg.tol:
             converged = True
@@ -464,7 +462,11 @@ def _fit_gaussian(X, init, cfg, project=None) -> EmFit:
         mu, sigma = _m_step_gaussian(*stats, X.n, cfg, prev)
         return GaussianParams(mu, sigma if project is None else project(sigma))
 
-    return _em_loop(X, params, cfg, _gaussian_stats, m_step, observed_loglik_gaussian)
+    def estep(q):
+        cond = _condition_all(q.mu, q.sigma, X)
+        return _gaussian_loglik(cond), lambda rng: _moments(X, cond, np.ones(X.n), rng)[1:]
+
+    return _em_loop(params, cfg, estep, m_step)
 
 
 # ---------------------------------------------------------------------------
@@ -474,39 +476,13 @@ def _fit_gaussian(X, init, cfg, project=None) -> EmFit:
 NU_GRID = np.geomspace(1.0, 100.0, 25)
 
 
-def _student_stats(params: StudentTParams, X: IncompleteMatrix, rng):
-    """Texture-weighted statistics (sum w, sum w x, sum w x x^T).
-
-    Exact when rng is None: the Gamma-posterior mean weight
-    (nu + p_o)/(nu + delta_o) and closed-form conditional moments given the
-    texture. Otherwise one draw: the texture from its Gamma conditional and
-    the missing block from the Gaussian conditional at that texture.
-    """
-    p = params.p
-    mu, sigma, nu = params.mu, params.sigma, params.nu
-    Sw = 0.0  # sum of weights
-    S1 = np.zeros(p)  # sum of weighted completed vectors
-    S2 = np.zeros((p, p))  # sum of weighted second moments
-    for obs, mis, cols in X.pattern_groups:
-        Xc = X.values[:, cols].copy()
-        k = len(obs)
-        delta, _, mu_c, sigma_c = _condition(mu, sigma, obs, mis, Xc[obs])
-        if rng is None:
-            w = (nu + k) / (nu + delta)
-        else:
-            w = rng.gamma((nu + k) / 2.0, 2.0 / (nu + delta))
-        if len(mis) > 0:
-            if rng is None:
-                Xc[mis] = mu_c
-                # E[tau * (x_m - mu_c)(x_m - mu_c)^T] = Sigma_m|o
-                S2[np.ix_(mis, mis)] += len(cols) * sigma_c
-            else:
-                noise = _chol_psd(sigma_c) @ rng.standard_normal(mu_c.shape)
-                Xc[mis] = mu_c + noise / np.sqrt(w)[None, :]
-        Sw += float(w.sum())
-        S1 += Xc @ w
-        S2 += (Xc * w) @ Xc.T
-    return Sw, S1, S2
+def _student_stats(nu, X: IncompleteMatrix, cond: _Conditioned, rng):
+    """Texture-weighted statistics: the weights are the Gamma-posterior means
+    (nu + p_o)/(nu + delta_o) when rng is None, else one draw from each
+    column's Gamma conditional, in column order."""
+    if rng is None:
+        return _moments(X, cond, (nu + cond.k) / (nu + cond.delta))
+    return _moments(X, cond, rng.gamma((nu + cond.k) / 2.0, 2.0 / (nu + cond.delta)), rng)
 
 
 def em_student_fit(
@@ -519,10 +495,11 @@ def em_student_fit(
 
     nu is held fixed unless estimate_nu is set, in which case it is profiled
     over a log-spaced grid by direct maximization of the observed Student-t
-    log likelihood (the observed-likelihood block of the ECME scheme). Given
-    the texture weights the M-step for (mu, sigma) is closed form, so FULL,
-    ECM and ECME coincide; GEM is rejected. SEM draws once per iteration;
-    MCEM averages cfg.mcem_draws draws, and so does SAEM before smoothing.
+    log likelihood (the observed-likelihood block of the ECME scheme); the
+    grid reuses the conditioning that the next E-step starts from. Given the
+    texture weights the M-step for (mu, sigma) is closed form, so FULL, ECM
+    and ECME coincide; GEM is rejected. SEM and SAEM draw once per
+    iteration; MCEM averages cfg.mcem_draws draws.
     """
     cfg = cfg or EmConfig()
     if cfg.m_variant is MVariant.GEM:
@@ -532,6 +509,16 @@ def em_student_fit(
         g = default_gaussian_init(X)
         init = StudentTParams(g.mu, g.sigma, 10.0)
     params = StudentTParams(init.mu.copy(), init.sigma.copy(), init.nu)
+    last = [b"", None]  # the bytes of the latest (mu, sigma) and its conditioning
+
+    def condition(mu, sigma):
+        if last[0] != (key := mu.tobytes() + sigma.tobytes()):
+            last[:] = key, _condition_all(mu, sigma, X)
+        return last[1]
+
+    def estep(q):
+        cond = condition(q.mu, q.sigma)
+        return float(_student_loglik(cond, q.nu)), lambda rng: _student_stats(q.nu, X, cond, rng)
 
     def m_step(stats, prev):
         Sw, S1, S2 = stats
@@ -539,15 +526,10 @@ def em_student_fit(
         sigma = _spd_floor((S2 - Sw * np.outer(mu, mu)) / X.n)
         nu = prev.nu
         if estimate_nu:
-            blocks = _observed_blocks(mu, sigma, X)
-            lls = [_student_loglik(blocks, nu_c) for nu_c in NU_GRID]
-            nu = float(NU_GRID[int(np.argmax(lls))])
+            nu = float(NU_GRID[np.argmax(_student_loglik(condition(mu, sigma), NU_GRID))])
         return StudentTParams(mu, sigma, nu)
 
-    return _em_loop(
-        X, params, cfg, _student_stats, m_step, observed_loglik_student,
-        saem_draws=cfg.mcem_draws,
-    )
+    return _em_loop(params, cfg, estep, m_step)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import IncompleteMatrix, SeedSpec
-from .em import GaussianParams, _complete_gaussian
+from .em import GaussianParams, _completed, _condition_all
 
 DIVERGENCE_CAP = 1e8
 
@@ -122,7 +122,7 @@ def impute_conditional_gaussian(
     seed: SeedSpec = SeedSpec(0),
 ) -> NDArray:
     """Fill holes with the Gaussian conditional mean, or a conditional draw."""
-    return _complete_gaussian(params, X, seed.rng() if add_noise else None)
+    return _completed(X, _condition_all(params.mu, params.sigma, X), seed.rng() if add_noise else None)
 
 
 @dataclass

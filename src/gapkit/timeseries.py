@@ -44,6 +44,8 @@ class Ar1StudentParams:
     def __post_init__(self):
         if not np.isfinite([self.mu, self.a, self.sigma, self.nu]).all():
             raise ValueError("mu, a, sigma and nu must be finite")
+        if not math.isfinite(self.a * self.a):
+            raise ValueError(f"a = {self.a!r} is explosive: a**2 overflows")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.nu <= 0:

@@ -554,7 +554,9 @@ def _probe_files(tmp_path):
     write_matrix_csv(zero, np.zeros((3, 6)))
     edges = tmp_path / "g.csv"
     edges.write_text("0,1,1.0\n1,2,1.0\n", encoding="utf-8")
-    return {"gappy": str(gappy), "full": str(full), "zero": str(zero), "edges": str(edges),
+    series = tmp_path / "ts.csv"
+    series.write_text("0.1\n\n0.3\n0.2\n", encoding="utf-8")
+    return {"gappy": str(gappy), "full": str(full), "zero": str(zero), "edges": str(edges), "series": str(series),
             "dir": str(tmp_path), "out": str(tmp_path / "o.csv"), "nodir": str(tmp_path / "no" / "o.csv")}
 
 
@@ -585,6 +587,39 @@ _PROBES = [
     ("complete_tol_neg", ["complete", "--in", "{gappy}", "--tol", "-1", "--out", "{out}"], "tol > 0"),
     ("joint_sigma_n2_neg", ["graph", "joint", "--in", "{gappy}", "--sigma-n2", "-1", "--out-prefix", "{out}"],
      "sigma_n2 > 0"),
+    # options the chosen mode ignores
+    ("complete_hard_lam", ["complete", "--in", "{gappy}", "--lam", "2", "--out", "{out}"],
+     "--lam applies to --mode soft only"),
+    ("complete_soft_rank", ["complete", "--in", "{gappy}", "--mode", "soft", "--rank", "1", "--out", "{out}"],
+     "--rank applies to --mode hard only"),
+    ("mask_mcar_phi0", ["mask", "--mechanism", "mcar", "--phi0", "1", "--shape", "3", "4", "--out", "{out}"],
+     "--phi0 applies to --mechanism mar or mnar only"),
+    ("mask_mcar_phi1", ["mask", "--mechanism", "mcar", "--phi1", "0", "--shape", "3", "4", "--out", "{out}"],
+     "--phi1 applies to --mechanism mar or mnar only"),
+    ("mask_mcar_phi0_phi1", ["mask", "--mechanism", "mcar", "--phi0", "1", "--phi1", "3", "--shape", "3", "4",
+                             "--out", "{out}"], "--phi0 and --phi1 apply to --mechanism mar or mnar only"),
+    ("mask_mcar_driver_row", ["mask", "--mechanism", "mcar", "--driver-row", "1", "--shape", "3", "4",
+                              "--out", "{out}"], "--driver-row applies to --mechanism mar only"),
+    ("mask_mar_rate", ["mask", "--mechanism", "mar", "--rate", "0.3", "--data", "{full}", "--out", "{out}"],
+     "--rate applies to --mechanism mcar only"),
+    ("mask_mnar_rate", ["mask", "--mechanism", "mnar", "--rate", "0.3", "--data", "{full}", "--out", "{out}"],
+     "--rate applies to --mechanism mcar only"),
+    ("mask_mnar_driver_row", ["mask", "--mechanism", "mnar", "--driver-row", "1", "--data", "{full}",
+                              "--out", "{out}"], "--driver-row applies to --mechanism mar only"),
+    ("impute_mean_k", ["impute", "--in", "{gappy}", "--k", "3", "--out", "{out}"], "--k applies to --method knn only"),
+    ("impute_condgauss_k", ["impute", "--in", "{gappy}", "--method", "condgauss", "--k", "3", "--out", "{out}"],
+     "--k applies to --method knn only"),
+    ("impute_iterative_k", ["impute", "--in", "{gappy}", "--method", "iterative", "--k", "3", "--out", "{out}"],
+     "--k applies to --method knn only"),
+    ("impute_mean_add_noise", ["impute", "--in", "{gappy}", "--add-noise", "--out", "{out}"],
+     "--add-noise applies to --method condgauss or iterative only"),
+    ("impute_knn_add_noise", ["impute", "--in", "{full}", "--method", "knn", "--add-noise", "--out", "{out}"],
+     "--add-noise applies to --method condgauss or iterative only"),
+    ("recover_tv_fidelity", ["graph", "recover", "--in", "{gappy}", "--graph", "{edges}", "--smoothness", "tv",
+                             "--fidelity", "huber", "--out", "{out}"],
+     "--fidelity applies to --smoothness tikhonov only"),
+    ("ts_impute_explosive_a", ["ts-impute", "--in", "{series}", "--mu", "0", "--a", "1e300", "--sigma", "1",
+                               "--nu", "5", "--out", "{out}"], "a = 1e+300"),
 ]
 
 
@@ -597,6 +632,39 @@ def test_bad_option_value_or_file_exits_2(runner, tmp_path, args, message):
     assert len(res.output.strip().splitlines()) == 1
     assert "Traceback" not in res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["complete", "--in", "{gappy}", "--mode", "soft", "--lam", "2", "--out", "{out}"],
+        ["complete", "--in", "{gappy}", "--rank", "1", "--out", "{out}"],
+        ["mask", "--mechanism", "mcar", "--rate", "0.3", "--shape", "3", "4", "--out", "{out}"],
+        ["mask", "--mechanism", "mar", "--phi0", "1", "--phi1", "2", "--driver-row", "1", "--data", "{full}",
+         "--out", "{out}"],
+        ["mask", "--mechanism", "mnar", "--phi0", "1", "--phi1", "2", "--data", "{full}", "--out", "{out}"],
+        ["impute", "--in", "{full}", "--method", "knn", "--k", "2", "--out", "{out}"],
+        ["graph", "recover", "--in", "{gappy}", "--graph", "{edges}", "--fidelity", "huber", "--out", "{out}"],
+    ],
+    ids=["complete_soft_lam", "complete_hard_rank", "mask_mcar_rate", "mask_mar_all", "mask_mnar_phi",
+         "impute_knn_k", "recover_tikhonov_fidelity"],
+)
+def test_option_accepted_where_it_applies(runner, tmp_path, args):
+    files = _probe_files(tmp_path)
+    res = runner.invoke(main, [a.format(**files) for a in args])
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize(
+    "text", ["1,1,1\n1,1\n", "1,abc\n1,1\n", "1,1\n"], ids=["ragged", "non_numeric", "wrong_shape"]
+)
+def test_impute_names_a_malformed_mask_file(runner, tmp_path, text):
+    files = _probe_files(tmp_path)
+    mask = tmp_path / "ragged.csv"
+    mask.write_text(text, encoding="utf-8")
+    res = runner.invoke(main, ["impute", "--in", files["gappy"], "--mask", str(mask), "--out", files["out"]])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith(f"config error: mask file {mask}: ")
 
 
 def _command_paths(group, prefix=()):

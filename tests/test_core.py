@@ -206,6 +206,33 @@ def test_pattern_groups_partition_columns(mask_cols):
     assert X.pattern_groups is groups
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda p: st.lists(st.lists(st.integers(0, 1), min_size=p, max_size=p), min_size=1, max_size=12)
+    )
+)
+def test_pattern_batches_stack_the_groups(mask_cols):
+    mask = np.array(mask_cols, dtype=np.int8).T
+    X = IncompleteMatrix(np.ones(mask.shape), mask)
+    # the hole order of a per-group loop: group, then missing row, then column
+    loop_order = [(i, j) for _, mis, cols in X.pattern_groups for i in mis for j in cols]
+    holes = {}
+    ks = []
+    for obs, mis, cols, group, draw in X.pattern_batches:
+        ks.append(obs.shape[1])
+        assert obs.shape[1] + mis.shape[1] == X.p
+        assert np.array_equal(np.unique(group), np.arange(len(obs)))
+        for c, (j, g) in enumerate(zip(cols, group)):
+            assert np.array_equal(np.flatnonzero(mask[:, j]), obs[g])
+            assert np.array_equal(np.flatnonzero(mask[:, j] == 0), mis[g])
+            holes.update({int(r): (i, j) for r, i in zip(draw[c], mis[g])})
+    assert ks == sorted(set(ks))
+    assert sorted(np.concatenate([b[2] for b in X.pattern_batches]).tolist()) == list(range(X.n))
+    assert [holes[r] for r in range(len(holes))] == loop_order
+    assert X.pattern_batches is X.pattern_batches
+
+
 @pytest.mark.parametrize("token", ["inf", "-inf"])
 def test_read_matrix_csv_rejects_infinite_value(tmp_path, token):
     path = tmp_path / "x.csv"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.optimize import minimize
@@ -101,7 +103,9 @@ def test_condition_kernel_matches_solve_reference():
     for obs, mis in (([0, 2, 3], [1, 4]), ([0, 1, 2, 3, 4], []), ([], [0, 1, 2, 3, 4])):
         obs, mis = np.array(obs, dtype=int), np.array(mis, dtype=int)
         x_o = rng.standard_normal((len(obs), 4))
-        delta, logdet, mu_c, sigma_c = _condition(mu, sigma, obs, mis, x_o)
+        one_group = np.zeros(4, dtype=int)
+        delta, logdet, mu_c, sigma_c = _condition(mu, sigma, obs[None], mis[None], one_group, x_o.T)
+        logdet, mu_c, sigma_c = logdet[0], mu_c.T, sigma_c[0]
         S_oo, S_mo = sigma[np.ix_(obs, obs)], sigma[np.ix_(mis, obs)]
         dev = x_o - mu[obs, None]
         B = np.linalg.solve(S_oo, S_mo.T).T if len(obs) else np.zeros((len(mis), 0))
@@ -113,7 +117,60 @@ def test_condition_kernel_matches_solve_reference():
         assert_allclose(sigma_c, sigma[np.ix_(mis, mis)] - B @ S_mo.T, rtol=1e-12, atol=1e-14)
     dup = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ValueError, match="singular observed-block covariance"):
-        _condition(np.zeros(3), dup, np.array([0, 1]), np.array([2]), np.ones((2, 1)))
+        _condition(np.zeros(3), dup, np.array([[0, 1]]), np.array([[2]]), np.zeros(1, dtype=int), np.ones((1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda p: st.tuples(
+            st.just(p),
+            st.lists(st.lists(st.integers(0, 1), min_size=p, max_size=p), min_size=0, max_size=10),
+            st.integers(0, 2**32 - 1),
+        )
+    )
+)
+def test_batched_conditioning_matches_per_column_solve(case):
+    from gapkit.em import _condition_all
+
+    p, mask_cols, seed = case
+    mask = np.array([[1] * p, [0] * p, *mask_cols], dtype=np.int8).T  # always a full and an empty column
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((p, p))
+    sigma = A @ A.T + 0.5 * np.eye(p)
+    mu = rng.standard_normal(p)
+    X = IncompleteMatrix(rng.standard_normal(mask.shape), mask)
+    cond = _condition_all(mu, sigma, X)
+    seen = []
+    for (_, _, cols, group, _), sigma_cs in zip(X.pattern_batches, cond.covs):
+        for j, g in zip(cols, group):
+            obs, mis = np.flatnonzero(mask[:, j]), np.flatnonzero(mask[:, j] == 0)
+            S_oo, S_mo = sigma[np.ix_(obs, obs)], sigma[np.ix_(mis, obs)]
+            dev = X.values[obs, j] - mu[obs]
+            ref_delta = dev @ np.linalg.solve(S_oo, dev) if len(obs) else 0.0
+            ref_logdet = np.linalg.slogdet(S_oo)[1] if len(obs) else 0.0
+            B = np.linalg.solve(S_oo, S_mo.T).T if len(obs) else np.zeros((len(mis), 0))
+            assert_allclose(cond.delta[j], ref_delta, rtol=1e-10, atol=1e-12)
+            assert_allclose(cond.logdet[j], ref_logdet, rtol=1e-10, atol=1e-12)
+            assert_allclose(cond.mean[mis, j], mu[mis] + B @ dev, rtol=1e-10, atol=1e-12)
+            assert_allclose(cond.mean[obs, j], X.values[obs, j], rtol=0)
+            ref_cov = sigma[np.ix_(mis, mis)] - B @ S_mo.T
+            assert_allclose(sigma_cs[g], ref_cov, rtol=1e-10, atol=1e-12)
+            seen.append(j)
+    assert sorted(seen) == list(range(X.n))
+    assert np.array_equal(cond.k, mask.sum(axis=0))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 5), st.integers(15, 60), st.floats(0.05, 0.45), st.integers(0, 2**32 - 1))
+def test_exact_em_trace_never_decreases(p, n, rate, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((p, p))
+    vals = np.linalg.cholesky(A @ A.T + 0.3 * np.eye(p)) @ rng.standard_normal((p, n))
+    mask = (rng.random((p, n)) >= rate).astype(np.int8)
+    mask[:, :2] = 1  # every row observed at least twice
+    fit = em_gaussian_fit(IncompleteMatrix(vals, mask), cfg=EmConfig(tol=1e-10, max_iter=60))
+    assert np.all(np.diff(fit.loglik_trace) >= -1e-10)
 
 
 # -- observed log likelihood --------------------------------------------------
@@ -320,10 +377,23 @@ def test_student_texture_weight_at_center():
     nu = 5.0
     params = StudentTParams([2.0], [[1.0]], nu)
     X = IncompleteMatrix([[2.0]], [[1]])
-    from gapkit.em import _student_stats
+    from gapkit.em import _condition_all, _student_stats
 
-    Sw, S1, S2 = _student_stats(params, X, None)
+    Sw, S1, S2 = _student_stats(nu, X, _condition_all(params.mu, params.sigma, X), None)
     assert_allclose(Sw, (nu + 1) / nu)
+
+
+def test_student_saem_draws_once_per_iteration():
+    X, _ = _student_data(44, n=200)
+    init = StudentTParams(np.zeros(2), np.eye(2), 4.0)
+    fits = [
+        em_student_fit(X, init=init, cfg=EmConfig(e_variant=EVariant.SAEM, mcem_draws=draws, max_iter=30,
+                                                  tol=1e-30, seed=SeedSpec(5)))
+        for draws in (1, 10)
+    ]
+    assert np.array_equal(fits[0].mu_trace, fits[1].mu_trace)
+    assert np.array_equal(fits[0].loglik_trace, fits[1].loglik_trace)
+    assert np.array_equal(fits[0].params.sigma, fits[1].params.sigma)
 
 
 def test_student_sem_is_one_draw_mcem():

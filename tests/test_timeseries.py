@@ -42,6 +42,9 @@ def test_params_validation():
     with pytest.raises(ValueError):
         Ar1StudentParams(0.0, 1.2, 1.0, 4.0, enforce_stationarity=True)
     Ar1StudentParams(0.0, 1.2, 1.0, 4.0)  # fine without the flag
+    with pytest.raises(ValueError, match=r"a = 1e\+300"):
+        Ar1StudentParams(0.0, 1e300, 1.0, 4.0)  # a**2 overflows
+    Ar1StudentParams(0.0, 1e150, 1.0, 4.0)
 
 
 def test_gaussian_limit_matches_ols():
