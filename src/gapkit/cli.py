@@ -167,6 +167,8 @@ def impute_cmd(ctx, in_path, mask_path, method, k, add_noise, draws, seed, out):
         _only_under(ctx, ("k",), "--method knn")
     if method in ("mean", "knn"):
         _only_under(ctx, ("add_noise",), "--method condgauss or iterative")
+    if not add_noise:
+        _only_under(ctx, ("seed",), "--add-noise")
     X = read_matrix_csv(in_path, mask_path)
     spec = ImputerSpec(ImputerKind(method), k=k, add_noise=add_noise)
     if draws != 1:
@@ -388,8 +390,8 @@ def graph_recover_cmd(ctx, in_path, mask_path, graph_path, smooth, fidelity, alp
     """Interpolate missing node signals on a known graph."""
     if smooth == "tv":
         _only_under(ctx, ("fidelity",), "--smoothness tikhonov")
-    if beta != 0 and (smooth == "tv" or fidelity == "exact"):
-        raise ValueError("--beta applies to tikhonov smoothness with squared or huber fidelity only")
+    if smooth == "tv" or fidelity == "exact":
+        _only_under(ctx, ("beta",), "--smoothness tikhonov with --fidelity squared or huber")
     Y = read_matrix_csv(in_path, mask_path)
     G = _read_edge_csv(graph_path, Y.p)
     if smooth == "tv":

@@ -78,9 +78,11 @@ class EVariant(Enum):
 
 
 class MVariant(Enum):
+    """Full M-step or damped GEM steps. ECM's conditional maximizations are
+    exact for the Gaussian Q, so ECM is the full step; ECME's
+    observed-likelihood nu step is em_student_fit's estimate_nu."""
+
     FULL = "full"
-    ECM = "ecm"
-    ECME = "ecme"
     GEM = "gem"
 
 
@@ -346,15 +348,12 @@ def _q_gaussian(mu, sigma, S1, S2, n):
 def _m_step_gaussian(S1, S2, n, cfg, prev: GaussianParams):
     """Dispatch the configured M-variant on Gaussian sufficient statistics.
 
-    FULL and ECM coincide here (the conditional maximizations are exact and
-    order-independent for the Gaussian Q); ECME has no observed-likelihood
-    block for (mu, sigma) and also reduces to the full step. GEM takes damped
-    steps and verifies the surrogate never decreases, falling back to the
-    full maximizer when a damped step would.
+    GEM takes damped steps and verifies the surrogate never decreases,
+    falling back to the full maximizer when a damped step would.
     """
     mu_star = S1 / n
     sigma_full = _spd_floor(S2 / n - np.outer(mu_star, mu_star))
-    if cfg.m_variant in (MVariant.FULL, MVariant.ECM, MVariant.ECME):
+    if cfg.m_variant is MVariant.FULL:
         return mu_star, sigma_full
     # GEM: damped moves toward the maximizer, surrogate-ascent checked.
     mu, sigma = prev.mu.copy(), prev.sigma.copy()
@@ -497,9 +496,9 @@ def em_student_fit(
     over a log-spaced grid by direct maximization of the observed Student-t
     log likelihood (the observed-likelihood block of the ECME scheme); the
     grid reuses the conditioning that the next E-step starts from. Given the
-    texture weights the M-step for (mu, sigma) is closed form, so FULL, ECM
-    and ECME coincide; GEM is rejected. SEM and SAEM draw once per
-    iteration; MCEM averages cfg.mcem_draws draws.
+    texture weights the M-step for (mu, sigma) is closed form, so GEM is
+    rejected. SEM and SAEM draw once per iteration; MCEM averages
+    cfg.mcem_draws draws.
     """
     cfg = cfg or EmConfig()
     if cfg.m_variant is MVariant.GEM:

@@ -24,6 +24,26 @@ def _laplacian(W: NDArray) -> NDArray:
     return np.diag(W.sum(axis=1)) - W
 
 
+def _adjacency(w: NDArray, iu: NDArray, ju: NDArray, p: int) -> NDArray:
+    """Symmetric p x p adjacency with weight w[k] on edge (iu[k], ju[k])."""
+    W = np.zeros((p, p))
+    W[iu, ju] = w
+    W[ju, iu] = w
+    return W
+
+
+def _edge_list(W: NDArray):
+    """Index arrays and weights of the nonzero upper-triangle edges of W."""
+    iu, ju = np.triu_indices(W.shape[0], k=1)
+    keep = W[iu, ju] > 0
+    return iu[keep], ju[keep], W[iu, ju][keep]
+
+
+def _edge_form(M: NDArray, iu: NDArray, ju: NDArray) -> NDArray:
+    """(e_i - e_j)^T M (e_i - e_j) per edge; tr(L S) = w @ _edge_form(S)."""
+    return np.diag(M)[iu] + np.diag(M)[ju] - 2.0 * M[iu, ju]
+
+
 def _check_alpha(alpha: float) -> None:
     if not 0 <= alpha < np.inf:
         raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
@@ -72,9 +92,7 @@ class UndirectedGraph:
         return cls(W)
 
     def edges(self):
-        iu = np.triu_indices(self.p, k=1)
-        nz = self.W[iu] > 0
-        return list(zip(iu[0][nz], iu[1][nz], self.W[iu][nz]))
+        return list(zip(*_edge_list(self.W)))
 
 
 @dataclass(frozen=True)
@@ -240,9 +258,7 @@ def recover_tv(
     _check_alpha(alpha)
     W = W.W if isinstance(W, UndirectedGraph) else np.asarray(W, dtype=float)
     p = W.shape[0]
-    iu, ju = np.triu_indices(p, k=1)
-    keep = W[iu, ju] > 0
-    ei, ej, we = iu[keep], ju[keep], W[iu, ju][keep]
+    ei, ej, we = _edge_list(W)
     n_e = len(we)
     D = np.zeros((n_e, p))
     D[np.arange(n_e), ei] = 1.0
@@ -287,28 +303,22 @@ def recover_tv(
 # ---------------------------------------------------------------------------
 
 
-def _laplacian_from_weights(w, iu, ju, p):
-    L = np.zeros((p, p))
-    L[iu, ju] = -w
-    L[ju, iu] = -w
-    np.fill_diagonal(L, 0.0)
-    deg = -L.sum(axis=1)
-    np.fill_diagonal(L, deg)
-    return L
-
-
-def _gmrf_objective_grad(w, s_vec, alpha, iu, ju, p, lift):
-    """Penalized negative log-likelihood and gradient over edge weights."""
-    L = _laplacian_from_weights(w, iu, ju, p)
+def _gmrf_objective(w, s_vec, alpha, iu, ju, p):
+    """tr(L S) - log pdet(L) + alpha ||L||_1,off over edge weights w, with
+    s_vec = _edge_form(S). pdet(L) = det(L + 1 1^T / p) for a connected graph;
+    returns the objective and the Cholesky factor of that matrix, or
+    (inf, None) when it is not positive definite."""
     try:
-        f = cho_factor(L + lift)
+        f = cho_factor(_laplacian(_adjacency(w, iu, ju, p)) + 1.0 / p)
     except np.linalg.LinAlgError:
         return np.inf, None
     logdet = 2.0 * np.sum(np.log(np.diag(f[0])))
-    obj = float(w @ s_vec - logdet + 2.0 * alpha * w.sum())
-    K = cho_solve(f, np.eye(p))
-    grad = s_vec - (np.diag(K)[iu] + np.diag(K)[ju] - 2.0 * K[iu, ju]) + 2.0 * alpha
-    return obj, grad
+    return float(w @ s_vec - logdet + 2.0 * alpha * w.sum()), f
+
+
+def _gmrf_gradient(f, s_vec, alpha, iu, ju):
+    """Gradient over w of _gmrf_objective, from the factor it returned."""
+    return s_vec - _edge_form(cho_solve(f, np.eye(len(f[0]))), iu, ju) + 2.0 * alpha
 
 
 def gmrf_learn(
@@ -322,8 +332,9 @@ def gmrf_learn(
 
     Minimizes tr(L S) - log pdet(L) + alpha * ||L||_1,off over the feasible
     Laplacians by projected gradient on the nonnegative edge weights, with a
-    Barzilai-Borwein step and backtracking. The pseudo-determinant is lifted
-    to a full determinant by adding the rank-one matrix (1/p) 1 1^T.
+    Barzilai-Borwein step and backtracking. A trial step is scored by its
+    Cholesky factor alone; the inverse behind the gradient is formed only at
+    the start point and at accepted steps.
     """
     _check_alpha(alpha)
     S = np.asarray(S, dtype=float)
@@ -333,12 +344,13 @@ def gmrf_learn(
     if np.abs(S).max() == 0:
         raise ValueError("all-zero second-moment matrix")
     iu, ju = np.triu_indices(p, k=1)
-    s_vec = np.diag(S)[iu] + np.diag(S)[ju] - 2.0 * S[iu, ju]
-    lift = np.full((p, p), 1.0 / p)
-    w = np.maximum(w0, 0.0) if w0 is not None else np.full(len(iu), 1.0 / p)
-    if w0 is not None and _gmrf_objective_grad(w, s_vec, alpha, iu, ju, p, lift)[0] == np.inf:
+    s_vec = _edge_form(S, iu, ju)
+    w = np.full(len(iu), 1.0 / p) if w0 is None else np.maximum(w0, 0.0)
+    obj, f = _gmrf_objective(w, s_vec, alpha, iu, ju, p)
+    if f is None:  # infeasible warm start: restart from the complete graph
         w = np.full(len(iu), 1.0 / p)
-    obj, grad = _gmrf_objective_grad(w, s_vec, alpha, iu, ju, p, lift)
+        obj, f = _gmrf_objective(w, s_vec, alpha, iu, ju, p)
+    grad = _gmrf_gradient(f, s_vec, alpha, iu, ju)
     step = 1.0 / max(np.abs(grad).max(), 1.0)
     w_prev, g_prev = None, None
     for _ in range(max_iter):
@@ -351,7 +363,7 @@ def gmrf_learn(
         accepted = False
         for _bt in range(60):
             w_new = np.maximum(w - step * grad, 0.0)
-            obj_new, grad_new = _gmrf_objective_grad(w_new, s_vec, alpha, iu, ju, p, lift)
+            obj_new, f_new = _gmrf_objective(w_new, s_vec, alpha, iu, ju, p)
             d = w_new - w
             if obj_new <= obj + float(grad @ d) + 0.5 / max(step, 1e-300) * float(d @ d):
                 accepted = True
@@ -361,13 +373,10 @@ def gmrf_learn(
             break
         w_prev, g_prev = w, grad
         move = np.abs(w_new - w).max()
-        w, obj, grad = w_new, obj_new, grad_new
+        w, obj, grad = w_new, obj_new, _gmrf_gradient(f_new, s_vec, alpha, iu, ju)
         if move < tol * (1.0 + np.abs(w).max()):
             break
-    Wm = np.zeros((p, p))
-    Wm[iu, ju] = w
-    Wm[ju, iu] = w
-    return UndirectedGraph(Wm)
+    return UndirectedGraph(_adjacency(w, iu, ju, p))
 
 
 def _lasso_cd(G, c, alpha_half, a0, max_iter=10_000, gap_tol=1e-8, yty=0.0, B=None, y=None):
@@ -439,19 +448,13 @@ class StsrglResult:
     objective_trace: NDArray
 
 
-def _stsrgl_objective(X, A, Wm, Yz, mask, sigma_n2, alpha_a, alpha_l):
+def _stsrgl_objective(X, A, w, Yz, mask, sigma_n2, alpha_a, alpha_l):
     p, n = X.shape
-    L = _laplacian(Wm)
+    iu, ju = np.triu_indices(p, k=1)
     resid = np.where(mask == 1, Yz - X, 0.0)
     fid = float(np.sum(resid**2)) / (2.0 * sigma_n2)
     E = _innovations(X, A)
-    S_eps = E @ E.T / n
-    sign, logdet = np.linalg.slogdet(L + np.full((p, p), 1.0 / p))
-    if sign <= 0:
-        return np.inf
-    gmrf = float(np.trace(L @ S_eps)) - logdet + alpha_l * 2.0 * np.sum(
-        np.triu(Wm, k=1)
-    )
+    gmrf, _ = _gmrf_objective(w, _edge_form(E @ E.T / n, iu, ju), alpha_l, iu, ju, p)
     return fid + 0.5 * n * gmrf + alpha_a * float(np.abs(A).sum())
 
 
@@ -498,11 +501,10 @@ def stsrgl_fit(
 
     E = _innovations(X, A)
     g = gmrf_learn(E @ E.T / n, alpha_l, max_iter=gmrf_iters)
-    Wm = g.W.copy()
-    w_vec = Wm[iu, ju]
-    trace = [_stsrgl_objective(X, A, Wm, Yz, Y.mask, sigma_n2, alpha_a, alpha_l)]
+    w = g.W[iu, ju]
+    trace = [_stsrgl_objective(X, A, w, Yz, Y.mask, sigma_n2, alpha_a, alpha_l)]
     for _cycle in range(iters):
-        L = _laplacian(Wm)
+        L = g.L
         # (a) signal given the graphs: exact column-wise minimization
         ALA = A.T @ L @ A
         LA = L @ A
@@ -534,13 +536,12 @@ def stsrgl_fit(
             A = A_new
         # (c) Laplacian on the innovation second moments (warm start)
         E = _innovations(X, A)
-        g = gmrf_learn(E @ E.T / n, alpha_l, w0=w_vec, max_iter=gmrf_iters)
-        Wm = g.W.copy()
-        w_vec = Wm[iu, ju]
-        obj = _stsrgl_objective(X, A, Wm, Yz, Y.mask, sigma_n2, alpha_a, alpha_l)
+        g = gmrf_learn(E @ E.T / n, alpha_l, w0=w, max_iter=gmrf_iters)
+        w = g.W[iu, ju]
+        obj = _stsrgl_objective(X, A, w, Yz, Y.mask, sigma_n2, alpha_a, alpha_l)
         if obj > trace[-1] + 1e-8 * (1.0 + abs(trace[-1])):
             raise RuntimeError(
                 f"joint objective increased ({trace[-1]:.6g} -> {obj:.6g}); solver bug"
             )
         trace.append(obj)
-    return StsrglResult(X, DirectedGraph(A), UndirectedGraph(Wm), np.array(trace))
+    return StsrglResult(X, DirectedGraph(A), g, np.array(trace))

@@ -59,12 +59,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Section dicts plus top-level run keys; metrics may be a comma-separated string."""
         try:
+            metrics = d.get("metrics", ("rmse",))
+            if isinstance(metrics, str):
+                metrics = [m.strip() for m in metrics.split(",") if m.strip()]
             return cls(
                 dataset=dict(d["dataset"]),
                 mechanism=dict(d.get("mechanism", {"kind": "none"})),
                 method=dict(d["method"]),
-                metrics=tuple(d.get("metrics", ("rmse",))),
+                metrics=tuple(metrics),
                 replicates=int(d.get("replicates", 1)),
                 seed=int(d.get("seed", 0)),
             )
@@ -82,7 +86,8 @@ def _coerce(value: str):
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read a config from sectioned key/value text or JSON."""
+    """Read a JSON config, or sectioned key/value text mapped to the JSON
+    layout with the [run] keys at the top level."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
@@ -92,21 +97,8 @@ def load_config(path) -> ExperimentConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    d: dict = {}
-    for section in parser.sections():
-        d[section] = {k: _coerce(v) for k, v in parser.items(section)}
-    run = d.pop("run", {})
-    metrics = run.get("metrics", "rmse")
-    if isinstance(metrics, str):
-        metrics = tuple(m.strip() for m in metrics.split(",") if m.strip())
-    return ExperimentConfig(
-        dataset=d.get("dataset", {}),
-        mechanism=d.get("mechanism", {"kind": "none"}),
-        method=d.get("method", {}),
-        metrics=metrics,
-        replicates=int(run.get("replicates", 1)),
-        seed=int(run.get("seed", 0)),
-    )
+    d = {section: {k: _coerce(v) for k, v in parser.items(section)} for section in parser.sections()}
+    return ExperimentConfig.from_dict({**d.pop("run", {}), **d})
 
 
 # ---------------------------------------------------------------------------

@@ -92,13 +92,12 @@ def _knn_distance_matrix(X: IncompleteMatrix):
     return out
 
 
-def impute_knn(X: IncompleteMatrix, k: int, seed: SeedSpec | None = None) -> NDArray:
+def impute_knn(X: IncompleteMatrix, k: int) -> NDArray:
     """Fill each hole with the mean over the k nearest donor columns.
 
     Donors for entry (i, j) are columns that observe row i and share at least
     one co-observed row with column j; ties in distance go to the smaller
-    column index, so the result is deterministic (the seed parameter is
-    accepted for interface uniformity only).
+    column index, so the result is deterministic.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -202,7 +201,7 @@ def run_imputer(X: IncompleteMatrix, spec: ImputerSpec, seed: SeedSpec) -> NDArr
     if spec.kind is ImputerKind.MEAN:
         return impute_mean(X)
     if spec.kind is ImputerKind.KNN:
-        return impute_knn(X, spec.k, seed)
+        return impute_knn(X, spec.k)
     if spec.kind is ImputerKind.CONDITIONAL_GAUSSIAN:
         params = spec.params
         if params is None:

@@ -353,6 +353,7 @@ def test_gapkit_threads_env(runner, tmp_path, monkeypatch):
         (["--model", "student", "--structure", "factor:1"], "--structure"),
         (["--estimate-nu"], "--estimate-nu"),
         (["--model", "student", "--mvariant", "gem"], "GEM"),
+        (["--mvariant", "ecm"], "'ecm' is not one of 'full', 'gem'"),
     ],
 )
 def test_estimate_rejects_ignored_combinations(runner, tmp_path, extra, message):
@@ -556,7 +557,12 @@ def _probe_files(tmp_path):
     edges.write_text("0,1,1.0\n1,2,1.0\n", encoding="utf-8")
     series = tmp_path / "ts.csv"
     series.write_text("0.1\n\n0.3\n0.2\n", encoding="utf-8")
+    empty_cfg = tmp_path / "empty.cfg"
+    empty_cfg.write_text("", encoding="utf-8")
+    no_method_cfg = tmp_path / "no_method.cfg"
+    no_method_cfg.write_text("[dataset]\nkind = gaussian\n\n[run]\nreplicates = 2\n", encoding="utf-8")
     return {"gappy": str(gappy), "full": str(full), "zero": str(zero), "edges": str(edges), "series": str(series),
+            "empty_cfg": str(empty_cfg), "no_method_cfg": str(no_method_cfg),
             "dir": str(tmp_path), "out": str(tmp_path / "o.csv"), "nodir": str(tmp_path / "no" / "o.csv")}
 
 
@@ -618,6 +624,20 @@ _PROBES = [
     ("recover_tv_fidelity", ["graph", "recover", "--in", "{gappy}", "--graph", "{edges}", "--smoothness", "tv",
                              "--fidelity", "huber", "--out", "{out}"],
      "--fidelity applies to --smoothness tikhonov only"),
+    ("impute_mean_seed", ["impute", "--in", "{gappy}", "--method", "mean", "--seed", "1", "--out", "{out}"],
+     "--seed applies to --add-noise only"),
+    ("impute_condgauss_seed", ["impute", "--in", "{gappy}", "--method", "condgauss", "--seed", "1",
+                               "--out", "{out}"], "--seed applies to --add-noise only"),
+    ("recover_tv_beta0", ["graph", "recover", "--in", "{gappy}", "--graph", "{edges}", "--smoothness", "tv",
+                          "--beta", "0", "--out", "{out}"],
+     "--beta applies to --smoothness tikhonov with --fidelity squared or huber only"),
+    ("recover_exact_beta0", ["graph", "recover", "--in", "{gappy}", "--graph", "{edges}", "--fidelity", "exact",
+                             "--beta", "0", "--out", "{out}"],
+     "--beta applies to --smoothness tikhonov with --fidelity squared or huber only"),
+    ("bench_empty_config", ["bench", "--config", "{empty_cfg}", "--out-dir", "{dir}"],
+     "missing config section: 'dataset'"),
+    ("bench_no_method_section", ["bench", "--config", "{no_method_cfg}", "--out-dir", "{dir}"],
+     "missing config section: 'method'"),
     ("ts_impute_explosive_a", ["ts-impute", "--in", "{series}", "--mu", "0", "--a", "1e300", "--sigma", "1",
                                "--nu", "5", "--out", "{out}"], "a = 1e+300"),
 ]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gapkit.core import IncompleteMatrix, SeedSpec
@@ -17,6 +19,7 @@ from gapkit.graph import (
     stsrgl_fit,
     var_learn,
 )
+from gapkit.graph import _edge_form, _gmrf_gradient, _gmrf_objective
 
 PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
@@ -494,3 +497,25 @@ def test_penalty_weight_must_be_nonnegative_and_finite(learn, alpha):
 def test_recovery_config_rejects_non_finite(field):
     with pytest.raises(ValueError, match="finite"):
         RecoveryConfig(**field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(2, 6), alpha=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_gmrf_gradient_matches_central_differences(p, alpha, seed):
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(p, k=1)
+    Z = rng.standard_normal((p, 3 * p))
+    s_vec = _edge_form(Z @ Z.T / Z.shape[1], iu, ju)
+    w = rng.uniform(0.1, 2.0, len(iu))
+    obj, f = _gmrf_objective(w, s_vec, alpha, iu, ju, p)
+    grad = _gmrf_gradient(f, s_vec, alpha, iu, ju)
+    h = 1e-5
+    fd = np.empty_like(w)
+    for k in range(len(w)):
+        e = np.zeros_like(w)
+        e[k] = h
+        up = _gmrf_objective(w + e, s_vec, alpha, iu, ju, p)[0]
+        down = _gmrf_objective(w - e, s_vec, alpha, iu, ju, p)[0]
+        fd[k] = (up - down) / (2.0 * h)
+    assert np.isfinite(obj)
+    assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)

@@ -252,3 +252,15 @@ def test_json_config_of_wrong_types_is_config_error(tmp_path):
     path.write_text('{"dataset": 1, "method": []}', encoding="utf-8")
     with pytest.raises(ConfigError, match="malformed config"):
         load_config(path)
+
+
+def test_json_metrics_string_is_split(tmp_path):
+    payload = {
+        "dataset": {"kind": "gaussian", "p": 2, "n": 40},
+        "mechanism": {"kind": "mcar", "rate": 0.3},
+        "method": {"module": "impute", "method": "mean"},
+        "metrics": "rmse, mae",
+    }
+    cfg = load_config(_write(tmp_path, "c.json", json.dumps(payload)))
+    assert cfg.metrics == ("rmse", "mae")
+    assert {metric for _, metric, _ in run_experiment(cfg).rows} == {"rmse", "mae"}
