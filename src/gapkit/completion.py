@@ -1,5 +1,6 @@
-"""Low-rank matrix completion: fixed-rank hard-impute and nuclear-norm
-soft-impute, both pinning observed entries on every pass."""
+"""Low-rank matrix completion: fixed-rank hard-impute, which pins observed
+entries on every pass, and nuclear-norm soft-impute, which fits them through
+its squared-error penalty."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -84,7 +85,9 @@ def soft_impute(
 
     Each pass soft-thresholds the singular values of the observed-pinned
     matrix by lam; the objective 0.5 * ||M o (X - Y)||_F^2 + lam * ||X||_* is
-    recorded at every iterate and is nonincreasing.
+    recorded at every iterate and is nonincreasing. The returned X is the
+    shrunk iterate, so observed entries are fitted through the penalty and
+    move off Y, not pinned.
     """
     if not 0 <= lam < np.inf:
         raise ValueError(f"lam must be nonnegative and finite, got {lam}")

@@ -338,6 +338,8 @@ def gmrf_learn(
     """
     _check_alpha(alpha)
     S = np.asarray(S, dtype=float)
+    if not np.isfinite(S).all():
+        raise ValueError("S must be finite, without NaN or inf entries")
     p = S.shape[0]
     if S.shape != (p, p) or np.abs(S - S.T).max() > 1e-8 * max(np.abs(S).max(), 1e-300):
         raise ValueError("S must be a symmetric matrix")
@@ -470,12 +472,13 @@ def stsrgl_fit(
 ) -> StsrglResult:
     """Joint recovery of the signal and both graph structures.
 
-    Block-coordinate descent on the noisy-observation MAP objective: exact
-    per-column solves for the signal, proximal-gradient steps for the
-    directed adjacency, then the Laplacian learner on the innovation second
-    moments. The first column is treated as an innovation itself so every
-    block sees the same objective; it must decrease every cycle, and an
-    increase beyond slack aborts with a diagnostic.
+    Block-coordinate descent on the noisy-observation MAP objective:
+    ``x_sweeps`` Gauss-Seidel passes of per-column solves for the signal,
+    proximal-gradient steps for the directed adjacency, then the Laplacian
+    learner on the innovation second moments. The first column is treated
+    as an innovation itself so every block sees the same objective; it must
+    decrease every cycle, and an increase beyond slack aborts with a
+    diagnostic.
     """
     if iters < 1 or not (0 < sigma_n2 < np.inf and 0 <= alpha_a < np.inf and 0 <= alpha_l < np.inf):
         raise ValueError(
@@ -505,7 +508,8 @@ def stsrgl_fit(
     trace = [_stsrgl_objective(X, A, w, Yz, Y.mask, sigma_n2, alpha_a, alpha_l)]
     for _cycle in range(iters):
         L = g.L
-        # (a) signal given the graphs: exact column-wise minimization
+        # (a) signal given the graphs: Gauss-Seidel over the columns; each
+        # system is SPD (connected graph, an observed entry in every column)
         ALA = A.T @ L @ A
         LA = L @ A
         H_inner = L + ALA
@@ -518,10 +522,7 @@ def stsrgl_fit(
                     b = b + LA @ X[:, t - 1]
                 if t < n - 1:
                     b = b + (A.T @ (L @ X[:, t + 1]))
-                try:
-                    X[:, t] = np.linalg.solve(Hd, b)
-                except np.linalg.LinAlgError:
-                    X[:, t] = np.linalg.lstsq(Hd, b, rcond=None)[0]
+                X[:, t] = np.linalg.solve(Hd, b)
         # (b) directed adjacency: proximal-gradient steps on the weighted fit
         C1 = X[:, 1:] @ X[:, :-1].T
         C0 = X[:, :-1] @ X[:, :-1].T

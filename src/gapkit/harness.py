@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,8 +280,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Replicate errors are recorded and the run continues; metric evaluations
     that fail (for example an empty evaluation set) are reported as notes
-    without failing the replicate. GAPKIT_THREADS > 1 runs replicates in a
-    thread pool; results are sorted before emission either way.
+    without failing the replicate.
     """
     result = ExperimentResult(n_replicates=config.replicates)
     result.manifest = {
@@ -290,28 +288,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "gapkit_version": __version__,
         "result_header": list(RESULT_HEADER),
     }
-    threads = int(os.environ.get("GAPKIT_THREADS", "1") or "1")
-    reps = range(config.replicates)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda r: _safe_replicate(config, r), reps))
-    else:
-        outcomes = [_safe_replicate(config, r) for r in reps]
-    for rows, notes, failures in outcomes:
+    for rep in range(config.replicates):
+        try:
+            rows, notes = _one_replicate(config, rep)
+        except ConfigError:
+            raise
+        except Exception as exc:  # per-replicate failure is recorded, not fatal
+            result.failures.append((rep, f"replicate failed: {exc}"))
+            continue
         result.rows.extend(rows)
         result.notes.extend(notes)
-        result.failures.extend(failures)
     return result
-
-
-def _safe_replicate(config, rep):
-    try:
-        rows, notes = _one_replicate(config, rep)
-        return rows, notes, []
-    except ConfigError:
-        raise
-    except Exception as exc:  # per-replicate failure is recorded, not fatal
-        return [], [], [(rep, f"replicate failed: {exc}")]
 
 
 def run_from_manifest(manifest: dict) -> ExperimentResult:

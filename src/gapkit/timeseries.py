@@ -3,16 +3,12 @@ posterior-draw multiple imputation.
 
 The innovations are treated as a Gaussian scale mixture: each step carries a
 latent Gamma weight whose conditional is available in closed form, which
-makes the M-step a weighted least squares and the imputation step an exact
-Gibbs sweep. During fitting the missing interior points are refreshed by
-Metropolis moves targeting the product of the two adjacent Student-t
-transitions.
-
-Both samplers update the interior gaps in red-black order: a point's
-two-sided conditional involves only its two neighbours, so the even points
-are conditionally independent given the odd ones and vice versa, and each
-parity is updated in one vectorized step. This is the same Gibbs scan as
-visiting the points of one parity one at a time.
+makes the M-step a weighted least squares and the gap update an exact Gibbs
+sweep. One sweep, `_gibbs_sweep`, serves both the SAEM fit and the
+multiple imputation. It draws the leading and trailing gaps from their
+one-sided transitions, then the mixture weights, then the interior gaps in
+red-black order: a point's two-sided conditional involves only its two
+neighbours, so each parity is updated in one vectorized Gaussian draw.
 """
 from __future__ import annotations
 
@@ -24,9 +20,8 @@ from numpy.typing import NDArray
 from scipy.special import gammaln
 
 from .core import SeedSpec
-from .em import EmConfig
+from .em import NU_GRID, EmConfig
 
-NU_GRID = np.geomspace(2.1, 100.0, 21)
 # log Gamma((nu + 1)/2) - log Gamma(nu/2) on the grid, for the t log density
 _NU_LOG_NORM = gammaln((NU_GRID + 1.0) / 2.0) - gammaln(NU_GRID / 2.0)
 
@@ -56,14 +51,11 @@ class Ar1StudentParams:
 
 @dataclass
 class Ar1SaemFit:
-    """SAEM result. ``accept_rate`` is the share of Metropolis proposals
-    accepted for the interior missing points (0 < t < n-1) over all
-    iterations; it is nan when there is no such point."""
+    """SAEM result: post-burn-in averages and the per-iteration chains."""
 
     params: Ar1StudentParams
     chains: dict
     n_iter: int
-    accept_rate: float
 
 
 def _t_loglik_grid(e, sigma):
@@ -99,12 +91,12 @@ def ar1t_fit_saem(
 ) -> Ar1SaemFit:
     """SAEM fit of the gappy AR(1)-t model; returns post-burn-in averages.
 
-    Per iteration: (a) Metropolis-within-Gibbs refresh of the missing values
-    against the product of adjacent t transitions (boundary gaps are drawn
-    exactly from one-sided transitions), (b) Gamma draws of the per-step
-    mixture weights, (c) weighted-least-squares update of (mu, a, sigma) on
-    stochastically averaged sufficient statistics, (d) degrees of freedom by
-    a 1-D grid on the stochastically averaged innovation log likelihood.
+    Per iteration: (a) one `_gibbs_sweep` over the missing values, which
+    leaves their posterior at the current parameters invariant, (b) fresh
+    Gamma draws of the per-step mixture weights, (c) weighted-least-squares
+    update of (mu, a, sigma) on stochastically averaged sufficient
+    statistics, (d) degrees of freedom by a 1-D grid on the stochastically
+    averaged innovation log likelihood.
     """
     cfg = cfg or EmConfig(max_iter=300, saem_burn_in=20)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -118,16 +110,13 @@ def ar1t_fit_saem(
     mu, a, sigma, nu = init.mu, init.a, init.sigma, init.nu
     rng = cfg.seed.rng()
     x = _initial_fill(y, observed)
-    ends = (not observed[0], not observed[-1])
-    interior = np.flatnonzero(~observed[1:-1]) + 1
-    halves = _parity_halves(interior)
-    accepted = 0
+    layout = _gap_layout(observed)
     stats = None
     ll_grid_smooth = None
     iters = cfg.max_iter
     chains = {k: np.empty(iters) for k in ("mu", "a", "sigma", "nu")}
     for it in range(1, iters + 1):
-        accepted += _refresh_missing_mh(x, ends, halves, mu, a, sigma, nu, rng)
+        _gibbs_sweep(x, layout, mu, a, sigma, nu, rng)
         e = x[1:] - mu - a * x[:-1]
         tau = rng.gamma((nu + 1.0) / 2.0, 2.0 / (nu + (e / sigma) ** 2))
         z_prev = x[:-1]
@@ -169,19 +158,14 @@ def ar1t_fit_saem(
         float(chains["sigma"][b:].mean()),
         float(chains["nu"][b:].mean()) if estimate_nu else nu,
     )
-    accept_rate = accepted / (len(interior) * iters) if len(interior) else math.nan
-    return Ar1SaemFit(params, chains, iters, accept_rate)
+    return Ar1SaemFit(params, chains, iters)
 
 
 def _initial_fill(y, observed):
+    """Linear interpolation across the gaps, flat beyond the end points."""
     x = y.copy()
     idx = np.flatnonzero(observed)
-    x[: idx[0]] = y[idx[0]]
-    x[idx[-1] + 1 :] = y[idx[-1]]
-    interior = np.flatnonzero(~observed)
-    interior = interior[(interior > idx[0]) & (interior < idx[-1])]
-    if len(interior) > 0:
-        x[interior] = np.interp(interior, idx, y[idx])
+    x[~observed] = np.interp(np.flatnonzero(~observed), idx, y[idx])
     return x
 
 
@@ -200,41 +184,36 @@ def _two_sided(prev, nxt, mu, a, w_prev, w_next):
     return (w_prev * (mu + a * prev) + a * w_next * (nxt - mu)) / w, w
 
 
-def _refresh_missing_mh(x, ends, halves, mu, a, sigma, nu, rng):
-    """Refresh the missing points of x in place; returns how many interior
-    proposals were accepted.
+def _gap_layout(observed):
+    """(head_end, tail_start, halves): the gaps before head_end and from
+    tail_start on are the leading and trailing runs, and halves are the
+    interior gaps split by `_parity_halves`."""
+    obs_idx = np.flatnonzero(observed)
+    head_end, tail_start = obs_idx[0], obs_idx[-1] + 1
+    interior = np.flatnonzero(~observed[head_end:tail_start]) + head_end
+    return head_end, tail_start, _parity_halves(interior)
 
-    The endpoints t = 0 and t = n-1, when ``ends`` flags them missing, have
-    one-sided targets and are drawn exactly first. Then each half in
-    ``halves`` (the interior missing points split by `_parity_halves`) takes
-    one vectorized independence Metropolis step: a Gaussian proposal at the
-    two-sided conditional mean with matched variance, against the product of
-    the two adjacent t transitions, whose normalizing constants cancel.
-    """
-    head, tail = ends
-    if head:
+
+def _gibbs_sweep(x, layout, mu, a, sigma, nu, rng):
+    """One Gibbs sweep over the gaps of x, in place; it leaves the posterior
+    of the gaps given the observed points and the parameters invariant."""
+    head_end, tail_start, halves = layout
+    # boundary runs have one-sided conditionals: draw them exactly by
+    # running the model forward (tail) or backward (head)
+    for t in range(tail_start, len(x)):
+        x[t] = mu + a * x[t - 1] + sigma * rng.standard_t(nu)
+    for t in range(head_end - 1, -1, -1):
         if abs(a) > 1e-8:
-            x[0] = (x[1] - mu - sigma * rng.standard_t(nu)) / a
+            x[t] = (x[t + 1] - mu - sigma * rng.standard_t(nu)) / a
         else:
-            x[0] = mu + sigma * rng.standard_t(nu)
-    if tail:
-        x[-1] = mu + a * x[-2] + sigma * rng.standard_t(nu)
-    var_t = sigma**2 * (nu / (nu - 2.0)) if nu > 2.0 else sigma**2
-    scale = nu * sigma**2
-    accepted = 0
+            x[t] = mu + sigma * rng.standard_t(nu)
+    if not halves:
+        return
+    e = x[1:] - mu - a * x[:-1]
+    tau = rng.gamma((nu + 1.0) / 2.0, 2.0 / (nu + (e / sigma) ** 2))
     for t in halves:
-        prev, nxt = x[t - 1], x[t + 1]
-        mean, w = _two_sided(prev, nxt, mu, a, 1.0, 1.0)
-        sd = math.sqrt(var_t / w)
-        cand = np.stack([mean + sd * rng.standard_normal(len(t)), x[t]])  # proposal, current
-        log_w = 0.5 * ((cand - mean) / sd) ** 2 - 0.5 * (nu + 1.0) * (
-            np.log1p((cand - mu - a * prev) ** 2 / scale)
-            + np.log1p((nxt - mu - a * cand) ** 2 / scale)
-        )
-        accept = np.log(rng.random(len(t)) + 1e-300) < log_w[0] - log_w[1]
-        x[t[accept]] = cand[0, accept]
-        accepted += int(accept.sum())
-    return accepted
+        mean, w = _two_sided(x[t - 1], x[t + 1], mu, a, tau[t - 1], tau[t])
+        x[t] = mean + sigma * rng.standard_normal(len(t)) / np.sqrt(w)
 
 
 def ar1t_multiple_impute(
@@ -246,45 +225,22 @@ def ar1t_multiple_impute(
 ) -> NDArray:
     """K Gibbs-sampled completions of the gaps; observed points untouched.
 
-    Interior gaps are sampled exactly from the Gaussian conditionals given
-    the mixture weights (scale-mixture augmentation), even points then odd
-    points; tail gaps are free forecasts and head gaps run the recursion
-    backwards. Returns a (K, n) array; draw d uses seed substream d + 1.
+    Each draw runs ``sweeps`` passes of `_gibbs_sweep` from the interpolated
+    series. Returns a (K, n) array; draw d uses seed substream d + 1.
     """
     if K < 1 or sweeps < 1:
         raise ValueError(f"K and sweeps must be >= 1, got K={K}, sweeps={sweeps}")
     y = np.asarray(y, dtype=float).reshape(-1)
-    n = len(y)
     observed = np.isfinite(y)
     if observed.sum() < 1:
         raise ValueError("need at least one observed point")
-    missing_idx = np.flatnonzero(~observed)
-    obs_idx = np.flatnonzero(observed)
-    head_end = obs_idx[0]  # everything before this index is a leading gap
-    tail_start = obs_idx[-1] + 1  # everything from here on is a trailing gap
-    interior = missing_idx[(missing_idx > head_end) & (missing_idx < tail_start)]
-    halves = _parity_halves(interior)
+    layout = _gap_layout(observed)
     mu, a, sigma, nu = params.mu, params.a, params.sigma, params.nu
-    out = np.tile(y, (K, 1))
+    out = np.empty((K, len(y)))
     for d in range(K):
         rng = seed.substream(d + 1).rng()
         x = _initial_fill(y, observed)
-        for _ in range(sweeps if len(missing_idx) else 0):
-            # boundary runs have one-sided conditionals: draw them exactly by
-            # running the model forward (tail) or backward (head)
-            for t in range(tail_start, n):
-                x[t] = mu + a * x[t - 1] + sigma * rng.standard_t(nu)
-            for t in range(head_end - 1, -1, -1):
-                if abs(a) > 1e-8:
-                    x[t] = (x[t + 1] - mu - sigma * rng.standard_t(nu)) / a
-                else:
-                    x[t] = mu + sigma * rng.standard_t(nu)
-            if not halves:
-                continue
-            e = x[1:] - mu - a * x[:-1]
-            tau = rng.gamma((nu + 1.0) / 2.0, 2.0 / (nu + (e / sigma) ** 2))
-            for t in halves:
-                mean, w = _two_sided(x[t - 1], x[t + 1], mu, a, tau[t - 1], tau[t])
-                x[t] = mean + sigma * rng.standard_normal(len(t)) / np.sqrt(w)
-        out[d, missing_idx] = x[missing_idx]
+        for _ in range(sweeps):
+            _gibbs_sweep(x, layout, mu, a, sigma, nu, rng)
+        out[d] = x
     return out

@@ -329,24 +329,6 @@ seed = 4
     assert "condgauss" in text
 
 
-def test_gapkit_threads_env(runner, tmp_path, monkeypatch):
-    cfg = tmp_path / "bench.cfg"
-    cfg.write_text(
-        "[dataset]\nkind = gaussian\np = 2\nn = 40\n\n[mechanism]\nkind = mcar\nrate = 0.2\n\n"
-        "[method]\nmodule = impute\nmethod = mean\n\n[run]\nreplicates = 4\nseed = 2\n",
-        encoding="utf-8",
-    )
-    out1 = tmp_path / "o1"
-    res = runner.invoke(main, ["bench", "--config", str(cfg), "--out-dir", str(out1)])
-    assert res.exit_code == 0
-    monkeypatch.setenv("GAPKIT_THREADS", "3")
-    out2 = tmp_path / "o2"
-    res2 = runner.invoke(main, ["bench", "--config", str(cfg), "--out-dir", str(out2)])
-    assert res2.exit_code == 0
-    # aggregation is sorted, so outputs agree regardless of thread count
-    assert (out1 / "results.csv").read_text() == (out2 / "results.csv").read_text()
-
-
 @pytest.mark.parametrize(
     "extra, message",
     [

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gapkit.completion import hard_impute, nuclear_objective, soft_impute
@@ -104,6 +106,23 @@ def test_soft_objective_nonincreasing_and_matches_nuclear_objective():
     assert_allclose(
         res.objective_trace[-1], nuclear_objective(res.X, X.filled(0.0), mask, 1.0), atol=1e-9
     )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.integers(2, 10),
+    st.floats(0.0, 0.6),
+    st.floats(0.0, 5.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_soft_objective_trace_never_increases(p, n, rate, lam, seed):
+    rng = np.random.default_rng(seed)
+    vals = _lowrank(p, n, 1, seed) + 0.3 * rng.standard_normal((p, n))
+    mask = (rng.random((p, n)) >= rate).astype(np.int8)
+    mask[:, 0] = 1  # mean imputation, the default start, needs every row observed
+    trace = soft_impute(IncompleteMatrix(vals, mask), lam, tol=1e-12, max_iter=40).objective_trace
+    assert np.all(np.diff(trace) <= 1e-10 * (1.0 + np.abs(trace[:-1])))
 
 
 def test_soft_rank_nonincreasing_in_lambda():

@@ -1,3 +1,6 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +234,34 @@ def test_pattern_batches_stack_the_groups(mask_cols):
     assert sorted(np.concatenate([b[2] for b in X.pattern_batches]).tolist()) == list(range(X.n))
     assert [holes[r] for r in range(len(holes))] == loop_order
     assert X.pattern_batches is X.pattern_batches
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda p: st.lists(
+            st.lists(
+                st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers(0, 1)),
+                min_size=p,
+                max_size=p,
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+)
+def test_csv_and_mask_round_trip_bit_for_bit(cols):
+    values = np.array([[v for v, _ in col] for col in cols]).T
+    mask = np.array([[m for _, m in col] for col in cols], dtype=np.int8).T
+    with tempfile.TemporaryDirectory() as tmp:
+        vpath, mpath = Path(tmp) / "x.csv", Path(tmp) / "m.csv"
+        write_matrix_csv(vpath, values, mask)
+        write_mask_csv(mpath, mask)
+        Y = read_matrix_csv(vpath, mpath)
+    assert np.array_equal(Y.mask, mask)
+    obs = mask == 1
+    assert Y.values[obs].tobytes() == values[obs].tobytes()
+    assert np.isnan(Y.values[~obs]).all()
 
 
 @pytest.mark.parametrize("token", ["inf", "-inf"])

@@ -288,6 +288,15 @@ def test_gmrf_rejects_zero_moment():
         gmrf_learn(np.zeros((3, 3)), 0.1)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_gmrf_rejects_non_finite_moment(bad):
+    # NaN and inf slip past the symmetry comparison, so they are caught first
+    with pytest.raises(ValueError, match="S must be finite"):
+        gmrf_learn(np.array([[1.0, bad], [bad, 2.0]]), 0.1)
+    with pytest.raises(ValueError, match="S must be finite"):
+        gmrf_learn(np.array([[1.0, 0.5], [0.5, bad]]), 0.1)
+
+
 def test_var_noiseless_recovery():
     # a single noiseless trajectory from a generic start excites all of R^p
     # over the first p+ steps (Krylov span), so alpha = 0 recovers A exactly

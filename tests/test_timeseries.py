@@ -2,16 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
-from scipy.special import gammaln
 
 from gapkit.core import SeedSpec
-from gapkit.em import EmConfig
+from gapkit.em import NU_GRID, EmConfig
 from gapkit.timeseries import (
-    NU_GRID,
     Ar1StudentParams,
+    _gap_layout,
+    _gibbs_sweep,
     _initial_fill,
-    _parity_halves,
-    _refresh_missing_mh,
     _t_loglik_grid,
     ar1t_fit_saem,
     ar1t_multiple_impute,
@@ -235,15 +233,15 @@ def test_mh_refresh_block_gap_matches_gaussian_smoother(k):
     mu, a, sigma, nu = 0.05, 0.8, 0.2, 1e7
     gap = np.arange(17, 17 + k)
     x, y = _block_gap_series(19, mu, a, sigma, gap)
-    halves = _parity_halves(gap)
+    layout = _gap_layout(np.isfinite(y))
     chain = _initial_fill(y, np.isfinite(y))
     rng = np.random.default_rng(20)
     sweeps, batches = 12_000, 40
     draws = np.empty((sweeps, k))
     for _ in range(200):
-        _refresh_missing_mh(chain, (False, False), halves, mu, a, sigma, nu, rng)
+        _gibbs_sweep(chain, layout, mu, a, sigma, nu, rng)
     for s in range(sweeps):
-        _refresh_missing_mh(chain, (False, False), halves, mu, a, sigma, nu, rng)
+        _gibbs_sweep(chain, layout, mu, a, sigma, nu, rng)
         draws[s] = chain[gap]
     assert np.array_equal(chain[np.isfinite(y)], y[np.isfinite(y)])
     # successive sweeps are correlated: standard errors from batch means
@@ -263,94 +261,19 @@ def test_mi_block_gap_matches_gaussian_smoother(k):
     _assert_matches_smoother(emp, *_gap_smoother(x, gap, mu, a, sigma), se)
 
 
-class _Replay:
-    """Stands in for a Generator: hands out pre-drawn arrays in order."""
-
-    def __init__(self, draws):
-        self.draws = list(draws)
-
-    def standard_normal(self, size):
-        out = self.draws.pop(0)
-        assert len(out) == size
-        return out
-
-    random = standard_normal
-
-
-def _site_by_site_mh(x, halves, mu, a, sigma, nu, normals, uniforms):
-    """The single-site independence Metropolis loop, one point at a time in
-    the order of `halves`, with the t densities' normalizing constants."""
-
-    def t_logpdf(e):
-        return (
-            gammaln((nu + 1) / 2) - gammaln(nu / 2) - 0.5 * np.log(nu * np.pi * sigma**2)
-            - (nu + 1) / 2 * np.log1p(e**2 / (nu * sigma**2))
-        )
-
-    var_t = sigma**2 * nu / (nu - 2) if nu > 2 else sigma**2
-    accepted = 0
-    for half, z, u in zip(halves, normals, uniforms):
-        for t, z_t, u_t in zip(half, z, u):
-            prec = (1 + a**2) / var_t
-            mean = ((mu + a * x[t - 1]) + a * (x[t + 1] - mu)) / (1 + a**2)
-            sd = 1 / np.sqrt(prec)
-            cand = np.array([mean + sd * z_t, x[t]])
-            log_target = t_logpdf(cand - mu - a * x[t - 1]) + t_logpdf(x[t + 1] - mu - a * cand)
-            log_q = -0.5 * ((cand - mean) / sd) ** 2
-            if np.log(u_t + 1e-300) < (log_target[0] - log_q[0]) - (log_target[1] - log_q[1]):
-                x[t] = cand[0]
-                accepted += 1
-    return accepted
-
-
-@pytest.mark.parametrize("nu", [2.5, 4.0, 30.0])
-def test_red_black_half_sweep_equals_site_by_site_loop(nu):
-    # Points of one parity do not neighbour each other, so one vectorized
-    # half-sweep makes the same moves as visiting them one at a time.
-    mu, a, sigma = 0.1, 0.7, 0.3
-    rng = np.random.default_rng(23)
-    y = gen_ar1_t(rng, 60, mu, a, sigma, nu)
-    y[[5, 6, 7, 8, 20, 33, 34, 50, 51, 52, 53, 54]] = np.nan
-    sites = np.flatnonzero(np.isnan(y))
-    halves = _parity_halves(sites)
-    assert [set(h % 2) for h in halves] == [{0}, {1}]
-    ref = _initial_fill(y, np.isfinite(y))
-    x = ref.copy()
-    total = 0
-    for _ in range(25):
-        normals = [rng.standard_normal(len(h)) for h in halves]
-        uniforms = [rng.random(len(h)) for h in halves]
-        expected = _site_by_site_mh(ref, halves, mu, a, sigma, nu, normals, uniforms)
-        replay = _Replay([d for pair in zip(normals, uniforms) for d in pair])
-        assert _refresh_missing_mh(x, (False, False), halves, mu, a, sigma, nu, replay) == expected
-        assert_allclose(x, ref, rtol=1e-12, atol=1e-14)
-        total += expected
-    assert 0 < total < 25 * len(sites)
-
-
 def test_nu_grid_matches_scipy_t_logpdf():
     e = np.random.default_rng(24).standard_normal(500) * 0.4
     ref = np.array([stats.t.logpdf(e, v, scale=0.3).sum() for v in NU_GRID])
     assert_allclose(_t_loglik_grid(e, 0.3), ref, rtol=1e-12)
 
 
-# -- Metropolis acceptance diagnostic ----------------------------------------
-
-
-def test_accept_rate_in_unit_interval_on_gappy_series():
-    y = gen_ar1_t(np.random.default_rng(25), 400, 0.0, 0.8, 0.2, 4.0)
-    y[100:130] = np.nan
-    y[250] = np.nan
-    fit = ar1t_fit_saem(y, cfg=EmConfig(max_iter=40, seed=SeedSpec(26)))
-    assert 0.0 < fit.accept_rate <= 1.0
-
-
-def test_accept_rate_nan_without_interior_gaps():
+def test_saem_with_boundary_gaps():
+    # leading and trailing runs are drawn by the sweep's one-sided recursions
     y = gen_ar1_t(np.random.default_rng(27), 200, 0.0, 0.8, 0.2, 4.0)
-    assert np.isnan(ar1t_fit_saem(y, cfg=EmConfig(max_iter=10)).accept_rate)
-    y[[0, -1]] = np.nan  # one-sided endpoints are drawn exactly, not proposed
+    y[:3] = y[-4:] = np.nan
+    layout = _gap_layout(np.isfinite(y))
+    assert layout[:2] == (3, 196) and layout[2] == []
     fit = ar1t_fit_saem(y, cfg=EmConfig(max_iter=10))
-    assert np.isnan(fit.accept_rate)
     assert np.all(np.isfinite([fit.params.mu, fit.params.a, fit.params.sigma, fit.params.nu]))
 
 
