@@ -203,22 +203,15 @@ def read_matrix_csv(path, mask_path=None) -> IncompleteMatrix:
 
     If mask_path is given, the sidecar 0/1 mask overrides the empty-field
     convention (entries masked out are dropped even if a value is present);
-    an empty field the mask marks observed is an error. Trailing blank lines
-    are ignored beyond the mask's row count, so a one-column matrix whose
-    last rows are missing round-trips only with its mask.
+    an empty field the mask marks observed is an error. In a one-column file
+    every blank line is a missing entry, trailing ones included; in a wider
+    file trailing blank lines are ignored.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n").rstrip("\r") for line in fh]
-    mask = None
-    if mask_path is not None:
-        try:
-            mask = np.loadtxt(mask_path, delimiter=",", dtype=float, ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"mask file {mask_path}: {exc}") from exc
-    # trailing blank lines only; interior empties are data, and so are the
-    # blank rows of a one-column matrix that the mask counts
-    while len(lines) > (0 if mask is None else len(mask)) and lines[-1].strip() == "":
-        lines.pop()
+    if any("," in line for line in lines):
+        while lines[-1].strip() == "":
+            lines.pop()
     rows = [
         [float(tok) if tok.strip() else np.nan for tok in line.split(",")]
         for line in lines
@@ -229,7 +222,11 @@ def read_matrix_csv(path, mask_path=None) -> IncompleteMatrix:
     if len(width) != 1:
         raise ValueError(f"ragged CSV rows in {path}")
     values = np.array(rows, dtype=float)
-    if mask is not None:
+    if mask_path is not None:
+        try:
+            mask = np.loadtxt(mask_path, delimiter=",", dtype=float, ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"mask file {mask_path}: {exc}") from exc
         if mask.shape != values.shape:
             raise ValueError(
                 f"mask file {mask_path}: shape mismatch: values {values.shape} vs mask {mask.shape}"

@@ -21,6 +21,7 @@ from scipy.special import gammaln, kv
 from .core import ColumnSplit, IncompleteMatrix, SeedSpec
 
 LOG_2PI = math.log(2.0 * math.pi)
+_GEM_INNER_STEPS = 3  # damped half-steps per GEM M-step
 
 
 @dataclass
@@ -101,7 +102,6 @@ class EmConfig:
     seed: SeedSpec = field(default_factory=lambda: SeedSpec(0))
     mcem_draws: int = 10
     saem_burn_in: int = 20
-    gem_inner_steps: int = 3
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -358,7 +358,7 @@ def _m_step_gaussian(S1, S2, n, cfg, prev: GaussianParams):
     # GEM: damped moves toward the maximizer, surrogate-ascent checked.
     mu, sigma = prev.mu.copy(), prev.sigma.copy()
     q_cur = _q_gaussian(mu, sigma, S1, S2, n)
-    for _ in range(max(cfg.gem_inner_steps, 1)):
+    for _ in range(_GEM_INNER_STEPS):
         mu_new = mu + 0.5 * (mu_star - mu)
         sigma_target = _spd_floor(
             S2 / n

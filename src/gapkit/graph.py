@@ -144,18 +144,14 @@ def smoothness(X: NDArray, W: NDArray, kind: SmoothnessKind, p_norm: int = 2) ->
     X = np.atleast_2d(np.asarray(X, dtype=float))
     W = np.asarray(W, dtype=float)
     if kind is SmoothnessKind.TIKHONOV:
-        L = _laplacian(W)
-        return float(np.trace(X.T @ L @ X))
+        return float(np.sum(X * (_laplacian(W) @ X)))
     if kind is SmoothnessKind.TV:
         iu = np.triu_indices(W.shape[0], k=1)
         diffs = np.abs(X[iu[0]] - X[iu[1]]).sum(axis=1)
         return float(np.sum(W[iu] * diffs))
     if kind is SmoothnessKind.SPATIO_TEMPORAL:
-        D = np.empty_like(X)
-        D[:, 0] = X[:, 0]
-        D[:, 1:] = X[:, 1:] - X[:, :-1]
-        L = _laplacian(W)
-        return float(np.trace(D.T @ L @ D))
+        D = _innovations(X, np.eye(X.shape[0]))
+        return float(np.sum(D * (_laplacian(W) @ D)))
     norm_W = np.linalg.norm(W)  # Frobenius
     if norm_W == 0:
         raise ValueError("directed variation needs a nonzero adjacency")
@@ -381,59 +377,49 @@ def gmrf_learn(
     return UndirectedGraph(_adjacency(w, iu, ju, p))
 
 
-def _lasso_cd(G, c, alpha_half, a0, max_iter=10_000, gap_tol=1e-8, yty=0.0, B=None, y=None):
-    """Coordinate descent for 0.5 ||y - B^T a||^2 + alpha_half ||a||_1."""
-    a = a0.copy()
-    d = np.diag(G).copy()
-    free = d > 0
-    grad_cache = G @ a
-    for _ in range(max_iter):
-        max_move = 0.0
-        for k in np.flatnonzero(free):
-            old = a[k]
-            rho_k = c[k] - grad_cache[k] + d[k] * old
-            new = np.sign(rho_k) * max(abs(rho_k) - alpha_half, 0.0) / d[k]
-            if new != old:
-                grad_cache += G[:, k] * (new - old)
-                a[k] = new
-                max_move = max(max_move, abs(new - old))
-        r = y - B.T @ a
-        primal = 0.5 * float(r @ r) + alpha_half * float(np.abs(a).sum())
-        br = B @ r
-        scale = min(1.0, alpha_half / max(np.abs(br).max(), 1e-300)) if alpha_half > 0 else 1.0
-        theta = r * scale
-        dual = 0.5 * yty - 0.5 * float((y - theta) @ (y - theta))
-        if primal - dual < gap_tol:
-            break
-        if max_move == 0.0:
-            break
-    return a
+_CD_MAX_SWEEPS = 10_000
+_CD_GAP_TOL = 1e-8
 
 
-def var_learn(X: NDArray, alpha: float, gap_tol: float = 1e-8) -> DirectedGraph:
+def var_learn(X: NDArray, alpha: float) -> DirectedGraph:
     """Lag-one adjacency by row-separable lasso on consecutive columns.
 
-    Solves min_A sum_t ||x_t - A x_{t-1}||^2 + alpha ||A||_1,1; each row is an
-    independent lasso run to the requested duality gap (alpha = 0 reduces to
-    least squares).
+    Solves min_A sum_t ||x_t - A x_{t-1}||^2 + alpha ||A||_1,1 (alpha = 0
+    reduces to least squares) by coordinate descent on the Gram matrix the
+    p row lassos share: each sweep updates coordinate k of every unfinished
+    row, and a row finishes when its duality gap is below 1e-8 or a sweep
+    leaves it unchanged.
     """
     _check_alpha(alpha)
     X = np.asarray(X, dtype=float)
     p, n = X.shape
     if n < 2:
         raise ValueError("need at least two columns")
-    B = X[:, :-1]  # predictors (p x (n-1))
-    targets = X[:, 1:]
+    B, Y = X[:, :-1], X[:, 1:]  # predictors; row i of Y is the response of lasso i
     if alpha == 0:
-        A = np.linalg.lstsq(B.T, targets.T, rcond=None)[0].T
-        return DirectedGraph(A)
-    G = B @ B.T
-    A = np.zeros((p, p))
-    for i in range(p):
-        y = targets[i]
-        A[i] = _lasso_cd(
-            G, B @ y, alpha / 2.0, A[i], gap_tol=gap_tol, yty=float(y @ y), B=B, y=y
-        )
+        return DirectedGraph(np.linalg.lstsq(B.T, Y.T, rcond=None)[0].T)
+    half, G, C = alpha / 2.0, B @ B.T, Y @ B.T
+    d, yty = np.diag(G), np.einsum("ij,ij->i", Y, Y)
+    A, grad = np.zeros((p, p)), np.zeros((p, p))  # row i of grad is G a_i
+    rows = np.arange(p)  # unfinished rows
+    for _ in range(_CD_MAX_SWEEPS):
+        moved = np.zeros(len(rows), dtype=bool)
+        for k in np.flatnonzero(d > 0):
+            old = A[rows, k]
+            rho = C[rows, k] - grad[rows, k] + d[k] * old
+            new = np.sign(rho) * np.maximum(np.abs(rho) - half, 0.0) / d[k]
+            hit = new != old
+            grad[rows[hit]] += np.outer(new[hit] - old[hit], G[:, k])
+            A[rows[hit], k] = new[hit]
+            moved |= hit
+        R = Y[rows] - A[rows] @ B
+        primal = 0.5 * np.einsum("ij,ij->i", R, R) + half * np.abs(A[rows]).sum(axis=1)
+        scale = np.minimum(1.0, half / np.maximum(np.abs(R @ B.T).max(axis=1), 1e-300))
+        D = Y[rows] - scale[:, None] * R
+        dual = 0.5 * yty[rows] - 0.5 * np.einsum("ij,ij->i", D, D)
+        rows = rows[(primal - dual >= _CD_GAP_TOL) & moved]
+        if len(rows) == 0:
+            break
     return DirectedGraph(A)
 
 

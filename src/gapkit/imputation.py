@@ -1,14 +1,14 @@
 """Baseline and model-based imputers plus multiple-imputation wrapping."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .core import IncompleteMatrix, SeedSpec
-from .em import GaussianParams, _completed, _condition_all
+from .em import GaussianParams, _completed, _condition_all, em_gaussian_fit
 
 DIVERGENCE_CAP = 1e8
 
@@ -203,11 +203,7 @@ def run_imputer(X: IncompleteMatrix, spec: ImputerSpec, seed: SeedSpec) -> NDArr
     if spec.kind is ImputerKind.KNN:
         return impute_knn(X, spec.k)
     if spec.kind is ImputerKind.CONDITIONAL_GAUSSIAN:
-        params = spec.params
-        if params is None:
-            from .em import em_gaussian_fit
-
-            params = em_gaussian_fit(X).params
+        params = spec.params if spec.params is not None else em_gaussian_fit(X).params
         return impute_conditional_gaussian(X, params, spec.add_noise, seed)
     return impute_iterative(X, spec, seed).X
 
@@ -215,9 +211,15 @@ def run_imputer(X: IncompleteMatrix, spec: ImputerSpec, seed: SeedSpec) -> NDArr
 def multiple_impute(
     X: IncompleteMatrix, base: ImputerSpec, K: int, seed: SeedSpec = SeedSpec(0)
 ) -> list[NDArray]:
-    """K independent stochastic completions on seed substreams 1..K."""
+    """K independent stochastic completions on seed substreams 1..K.
+
+    A conditional-Gaussian spec without params fits its model once, by exact
+    EM, and every draw conditions on that fit.
+    """
     if K < 1:
         raise ValueError("K must be >= 1")
     if not base.is_stochastic:
         raise ValueError("multiple imputation requires stochasticity")
+    if base.kind is ImputerKind.CONDITIONAL_GAUSSIAN and base.params is None:
+        base = replace(base, params=em_gaussian_fit(X).params)
     return [run_imputer(X, base, seed.substream(d + 1)) for d in range(K)]

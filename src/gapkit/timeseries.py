@@ -227,6 +227,8 @@ def ar1t_multiple_impute(
 
     Each draw runs ``sweeps`` passes of `_gibbs_sweep` from the interpolated
     series. Returns a (K, n) array; draw d uses seed substream d + 1.
+    Raises FloatingPointError when a draw is not finite, as when the
+    parameters overflow the conditional means or precisions.
     """
     if K < 1 or sweeps < 1:
         raise ValueError(f"K and sweeps must be >= 1, got K={K}, sweeps={sweeps}")
@@ -240,7 +242,12 @@ def ar1t_multiple_impute(
     for d in range(K):
         rng = seed.substream(d + 1).rng()
         x = _initial_fill(y, observed)
-        for _ in range(sweeps):
-            _gibbs_sweep(x, layout, mu, a, sigma, nu, rng)
+        with np.errstate(all="ignore"):  # a non-finite draw is raised below
+            for _ in range(sweeps):
+                _gibbs_sweep(x, layout, mu, a, sigma, nu, rng)
+        if not np.isfinite(x).all():
+            raise FloatingPointError(
+                f"AR(1)-t draw {d} is not finite at mu={mu!r}, a={a!r}, sigma={sigma!r}, nu={nu!r}"
+            )
         out[d] = x
     return out

@@ -232,6 +232,19 @@ def test_ts_fit_and_impute(runner, tmp_path):
     assert paths.shape == (n, 3)
 
 
+@pytest.mark.parametrize("params", [["--mu", "1e308", "--a", "1", "--sigma", "1"],
+                                    ["--mu", "0", "--a", "1e150", "--sigma", "1e-300"]])
+def test_ts_impute_non_finite_draws_exit_4(runner, tmp_path, params):
+    series = tmp_path / "ts.csv"
+    series.write_text("1.0\n\n2.0\n\n\n3.0\n1.5\n", encoding="utf-8")
+    out = tmp_path / "paths.csv"
+    res = runner.invoke(main, ["ts-impute", "--in", str(series), *params, "--nu", "5", "--out", str(out)])
+    assert res.exit_code == 4, res.output
+    assert res.output.startswith("numerical failure: AR(1)-t draw 0 is not finite at mu=")
+    assert len(res.output.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_bench_and_exit_codes(runner, tmp_path):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text(

@@ -257,11 +257,12 @@ def test_csv_and_mask_round_trip_bit_for_bit(cols):
         vpath, mpath = Path(tmp) / "x.csv", Path(tmp) / "m.csv"
         write_matrix_csv(vpath, values, mask)
         write_mask_csv(mpath, mask)
-        Y = read_matrix_csv(vpath, mpath)
-    assert np.array_equal(Y.mask, mask)
+        with_mask, without_mask = read_matrix_csv(vpath, mpath), read_matrix_csv(vpath)
     obs = mask == 1
-    assert Y.values[obs].tobytes() == values[obs].tobytes()
-    assert np.isnan(Y.values[~obs]).all()
+    for Y in (with_mask, without_mask):
+        assert np.array_equal(Y.mask, mask)
+        assert Y.values[obs].tobytes() == values[obs].tobytes()
+        assert np.isnan(Y.values[~obs]).all()
 
 
 @pytest.mark.parametrize("token", ["inf", "-inf"])

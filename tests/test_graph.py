@@ -336,6 +336,57 @@ def test_var_needs_two_columns():
         var_learn(np.ones((2, 1)), 0.1)
 
 
+def _lasso_cd_reference(G, c, alpha_half, a0, yty, B, y, max_iter=10_000, gap_tol=1e-8):
+    """Scalar coordinate descent for 0.5 ||y - B^T a||^2 + alpha_half ||a||_1,
+    one row at a time: the reference for var_learn's batched loop. Returns
+    the solution and the number of sweeps it ran."""
+    a = a0.copy()
+    d = np.diag(G).copy()
+    free = d > 0
+    grad_cache = G @ a
+    for sweep in range(1, max_iter + 1):
+        max_move = 0.0
+        for k in np.flatnonzero(free):
+            old = a[k]
+            rho_k = c[k] - grad_cache[k] + d[k] * old
+            new = np.sign(rho_k) * max(abs(rho_k) - alpha_half, 0.0) / d[k]
+            if new != old:
+                grad_cache += G[:, k] * (new - old)
+                a[k] = new
+                max_move = max(max_move, abs(new - old))
+        r = y - B.T @ a
+        primal = 0.5 * float(r @ r) + alpha_half * float(np.abs(a).sum())
+        br = B @ r
+        scale = min(1.0, alpha_half / max(np.abs(br).max(), 1e-300)) if alpha_half > 0 else 1.0
+        theta = r * scale
+        dual = 0.5 * yty - 0.5 * float((y - theta) @ (y - theta))
+        if primal - dual < gap_tol or max_move == 0.0:
+            break
+    return a, sweep
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("alpha", [0.05, 1.0, 8.0, 20.0])
+def test_var_matches_row_by_row_lasso(seed, alpha):
+    rng = np.random.default_rng(seed)
+    p, n = 7, 50
+    X = np.zeros((p, n))
+    for t in range(1, n):
+        X[:, t] = 0.6 * np.roll(X[:, t - 1], 1) + rng.standard_normal(p)
+    X[3] = 0.0  # a constant-zero row: coordinate 3 has d_k = 0
+    B, Y = X[:, :-1], X[:, 1:]
+    G = B @ B.T
+    ref = np.zeros((p, p))
+    sweeps = []
+    for i in range(p):
+        ref[i], s = _lasso_cd_reference(G, B @ Y[i], alpha / 2.0, ref[i], float(Y[i] @ Y[i]), B, Y[i])
+        sweeps.append(s)
+    assert len(set(sweeps)) > 1  # rows finish on different sweeps
+    A = var_learn(X, alpha).A
+    assert np.array_equal(A != 0, ref != 0)
+    assert np.abs(A - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
 # -- joint spatio-temporal fit -------------------------------------------------
 
 
@@ -381,6 +432,25 @@ def test_stsrgl_objective_nonincreasing():
     res = stsrgl_fit(Y, iters=6)
     diffs = np.diff(res.objective_trace)
     assert np.all(diffs <= 1e-8 * (1 + np.abs(res.objective_trace[:-1])))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.integers(2, 4),
+    n=st.integers(3, 10),
+    alpha_a=st.floats(0.0, 2.0),
+    alpha_l=st.floats(0.0, 1.0),
+    sigma_n2=st.floats(1e-3, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stsrgl_objective_never_increases_on_random_inputs(p, n, alpha_a, alpha_l, sigma_n2, seed):
+    rng = np.random.default_rng(seed)
+    mask = (rng.random((p, n)) > 0.4).astype(int)
+    mask[rng.integers(p, size=n), np.arange(n)] = 1  # an observed entry per column
+    Y = IncompleteMatrix(rng.standard_normal((p, n)), mask)
+    res = stsrgl_fit(Y, alpha_a=alpha_a, alpha_l=alpha_l, sigma_n2=sigma_n2, iters=4, gmrf_iters=100)
+    trace = res.objective_trace
+    assert np.all(np.diff(trace) <= 1e-8 * (1 + np.abs(trace[:-1])))
 
 
 def test_stsrgl_requires_observed_columns():

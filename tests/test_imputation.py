@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gapkit.core import IncompleteMatrix, SeedSpec
-from gapkit.em import GaussianParams
+from gapkit import em
+from gapkit.em import GaussianParams, em_gaussian_fit
 from gapkit.imputation import (
     ImputerKind,
     ImputerSpec,
@@ -264,6 +265,20 @@ def test_multiple_impute_reproducible():
     b = multiple_impute(X, spec, 2, SeedSpec(5))
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
     assert not np.array_equal(a[0], a[1])
+
+
+def test_multiple_impute_fits_condgauss_model_once(monkeypatch):
+    X = _bivariate_fixture()
+    fitted = em_gaussian_fit(X).params
+    calls = []
+    fit = em._fit_gaussian
+    monkeypatch.setattr(em, "_fit_gaussian", lambda *args: calls.append(1) or fit(*args))
+    spec = ImputerSpec(ImputerKind.CONDITIONAL_GAUSSIAN, add_noise=True)
+    draws = multiple_impute(X, spec, 5, SeedSpec(8))
+    assert len(calls) == 1
+    fixed = multiple_impute(X, ImputerSpec(ImputerKind.CONDITIONAL_GAUSSIAN, add_noise=True, params=fitted), 5,
+                            SeedSpec(8))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(draws, fixed))
 
 
 def test_multiple_impute_k1():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -129,6 +131,14 @@ def test_mi_reproducible_and_pins_observed():
     for d in a:
         assert np.array_equal(d[obs], y[obs])
     assert not np.array_equal(a[0], a[1])
+
+
+@pytest.mark.parametrize("mu, a, sigma", [(1e308, 1.0, 1.0), (0.0, 1e150, 1e-300)])
+def test_mi_rejects_non_finite_draws(mu, a, sigma):
+    y = np.array([1.0, np.nan, 2.0, np.nan, np.nan, 3.0, 1.5])
+    message = re.escape(f"not finite at mu={mu!r}, a={a!r}, sigma={sigma!r}, nu=5.0")
+    with pytest.raises(FloatingPointError, match=message):
+        ar1t_multiple_impute(y, Ar1StudentParams(mu, a, sigma, 5.0), 2, SeedSpec(0))
 
 
 def test_mi_brownian_bridge_midpoint():
