@@ -414,7 +414,13 @@ def graph_learn_cmd(in_path, model, alpha, out):
         raise ValueError("graph learning needs a complete matrix; impute first")
     vals = X.values
     if model == "gmrf":
-        S = vals @ vals.T / X.n
+        with np.errstate(over="ignore", invalid="ignore"):
+            S = vals @ vals.T / X.n
+        if not np.isfinite(S).all():
+            raise ArithmeticError(
+                f"gmrf_learn at alpha={alpha}: the second-moment matrix overflows float64; "
+                "rescale the signals"
+            )
         G = gmrf_learn(S, alpha)
         _write_edge_csv(out, G.edges())
     else:

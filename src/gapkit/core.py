@@ -115,6 +115,10 @@ class IncompleteMatrix:
         out[self.mask == 0] = fill_value
         return out
 
+    def row_means(self) -> NDArray:
+        """Mean of each row's observed entries; every row needs one."""
+        return self.filled(0.0).sum(axis=1) / self.mask.sum(axis=1)
+
     @classmethod
     def from_complete(cls, values: NDArray) -> "IncompleteMatrix":
         values = np.asarray(values, dtype=float)

@@ -398,8 +398,13 @@ def var_learn(X: NDArray, alpha: float) -> DirectedGraph:
     B, Y = X[:, :-1], X[:, 1:]  # predictors; row i of Y is the response of lasso i
     if alpha == 0:
         return DirectedGraph(np.linalg.lstsq(B.T, Y.T, rcond=None)[0].T)
-    half, G, C = alpha / 2.0, B @ B.T, Y @ B.T
-    d, yty = np.diag(G), np.einsum("ij,ij->i", Y, Y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G, C, yty = B @ B.T, Y @ B.T, np.einsum("ij,ij->i", Y, Y)
+    if not (np.isfinite(G).all() and np.isfinite(C).all() and np.isfinite(yty).all()):
+        raise ArithmeticError(
+            f"var_learn at alpha={alpha}: the Gram matrices overflow float64; rescale the signals"
+        )
+    half, d = alpha / 2.0, np.diag(G)
     A, grad = np.zeros((p, p)), np.zeros((p, p))  # row i of grad is G a_i
     rows = np.arange(p)  # unfinished rows
     for _ in range(_CD_MAX_SWEEPS):

@@ -58,8 +58,7 @@ def impute_mean(X: IncompleteMatrix) -> NDArray:
     if (n_obs == 0).any():
         rows = np.flatnonzero(n_obs == 0)
         raise ValueError(f"fully missing row(s): {rows.tolist()}")
-    sums = X.filled(0.0).sum(axis=1)
-    row_means = sums / n_obs
+    row_means = X.row_means()
     out = X.values.copy()
     holes = X.mask == 0
     out[holes] = np.broadcast_to(row_means[:, None], X.shape)[holes]

@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import click
 import numpy as np
@@ -200,6 +201,21 @@ def test_graph_joint_numerical_failure_exit_code(runner, tmp_path, monkeypatch):
     assert res.exit_code == 4
     assert "numerical failure: joint objective increased" in res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("model", ["var", "gmrf"])
+def test_graph_learn_overflow_exit_4(runner, tmp_path, model):
+    data = tmp_path / "big.csv"
+    write_matrix_csv(data, np.random.default_rng(0).standard_normal((3, 20)) * 1e200)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(
+            main, ["graph", "learn", "--in", str(data), "--model", model, "--alpha", "1", "--out", str(tmp_path / "e.csv")]
+        )
+    assert res.exit_code == 4, res.output
+    assert res.output.startswith(f"numerical failure: {model}_learn at alpha=1.0: ")
+    assert len(res.output.strip().splitlines()) == 1
+    assert not caught
 
 
 def test_ts_fit_and_impute(runner, tmp_path):

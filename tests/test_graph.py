@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -334,6 +336,14 @@ def test_var_scalar_soft_threshold_formula():
 def test_var_needs_two_columns():
     with pytest.raises(ValueError):
         var_learn(np.ones((2, 1)), 0.1)
+
+
+def test_var_overflowing_gram_is_a_numerical_failure():
+    X = np.random.default_rng(15).standard_normal((3, 20)) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ArithmeticError, match="alpha=1.0"):
+            var_learn(X, 1.0)
 
 
 def _lasso_cd_reference(G, c, alpha_half, a0, yty, B, y, max_iter=10_000, gap_tol=1e-8):

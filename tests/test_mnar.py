@@ -1,11 +1,23 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
 from gapkit.core import IncompleteMatrix, SeedSpec
 from gapkit.em import EmConfig, em_gaussian_fit
-from gapkit.mechanisms import MechanismKind, MechanismSpec, gen_mask
-from gapkit.mnar import SelectionParams, _sample_tilted_batch, sample_missing_entry, sem_selection_fit
+from gapkit.mechanisms import MechanismKind, MechanismSpec, _sigmoid, gen_mask
+from gapkit.mnar import (
+    MAX_BATCH,
+    REJECTION_BUDGET,
+    SelectionParams,
+    _logistic_newton,
+    _SamplerState,
+    _sample_tilted_batch,
+    sample_missing_entry,
+    sem_selection_fit,
+)
 
 
 def _self_masked_fixture(rep, phi1, n=2000, base=99):
@@ -45,6 +57,43 @@ def test_sampler_tilted_oracle_via_grid():
     draws = _sample_tilted_batch(mu, s, phi, 40_000, rng)
     se = draws.std(ddof=1) / np.sqrt(len(draws))
     assert abs(draws.mean() - target_mean) < 4 * se
+
+
+def _tilted_mean(mu, s, phi):
+    xs = np.linspace(mu - 8 * s, mu + 8 * s, 20_001)
+    dens = np.exp(-0.5 * ((xs - mu) / s) ** 2) * (1 - 1 / (1 + np.exp(-(phi[1] * xs + phi[0]))))
+    return np.trapezoid(xs * dens, xs) / np.trapezoid(dens, xs)
+
+
+def test_batched_sampler_rows_match_grid_oracle():
+    # two segments with their own (mu, sigma, need), drawn in one batch
+    mu, s, need, phi = np.array([0.3, -2.0]), np.array([1.2, 0.5]), np.array([30_000, 20_000]), (0.4, 1.7)
+    state = _SamplerState(np.ones(2))
+    draws = _sample_tilted_batch(mu, s, phi, need, SeedSpec(12).rng(), state)
+    assert len(draws) == need.sum()
+    for i, seg in enumerate(np.split(draws, [need[0]])):
+        se = seg.std(ddof=1) / np.sqrt(len(seg))
+        assert abs(seg.mean() - _tilted_mean(mu[i], s[i], phi)) < 4 * se
+    assert state.fallbacks == 0
+    assert 0 < state.rate.min() and state.rate.max() < 1
+
+
+def test_sampler_low_acceptance_reaches_grid_fallback():
+    # acceptance about 5e-6 at mu=3, phi=(8, 4): most entries exhaust the budget,
+    # and the budget of 2e6 proposals takes several rounds capped at MAX_BATCH
+    state = _SamplerState(np.ones(1))
+    draws = _sample_tilted_batch(3.0, 1.0, (8.0, 4.0), 200, SeedSpec(13).rng(), state)
+    assert np.isfinite(draws).all() and np.abs(draws - 3.0).max() <= 6.0
+    assert 170 <= state.fallbacks <= 200
+    assert state.rounds > 200 * REJECTION_BUDGET // MAX_BATCH
+    X = IncompleteMatrix(np.array([[3.0, 2.5, np.nan, 3.5, np.nan, np.nan]]), np.array([[1, 1, 0, 1, 0, 0]]))
+    res = sem_selection_fit(
+        X, SelectionParams([3.0], [1.0]), init_phi=(8.0, 4.0), iters=3, burn_in=1,
+        seed=SeedSpec(14), estimate_phi=False,
+    )
+    assert res.grid_fallbacks > 0
+    assert res.rejection_rounds > 3
+    assert np.isfinite(res.mu_chain).all()
 
 
 def test_sampler_sigma_collapse():
@@ -105,7 +154,101 @@ def test_sem_chains_bounded_and_reproducible():
         assert np.abs(chain).max() < 1e6
 
 
+@pytest.mark.parametrize("rows", [1, 3])
+def test_sem_rejects_init_theta_of_wrong_length(rows):
+    X = IncompleteMatrix(np.arange(12.0).reshape(2, 6), np.array([[1, 1, 0, 1, 0, 1], [1, 0, 1, 1, 1, 0]]))
+    with pytest.raises(ValueError, match=f"init_theta has {rows} rows, X has 2"):
+        sem_selection_fit(X, SelectionParams(np.zeros(rows), np.ones(rows)), iters=5, burn_in=1)
+
+
 def test_sem_requires_iters_above_burnin():
     X = _self_masked_fixture(0, phi1=0.0)
     with pytest.raises(ValueError):
         sem_selection_fit(X, iters=10, burn_in=10)
+
+
+# -- logistic Newton ----------------------------------------------------------
+
+
+def _matrix_newton(x, y, phi0, phi1, max_iter=50, tol=1e-10):
+    # reference: the Newton step by a 2 x 2 linear solve on the full design
+    beta = np.array([phi0, phi1], dtype=float)
+    Z = np.column_stack([np.ones_like(x), x])
+    for _ in range(max_iter):
+        p = _sigmoid(Z @ beta)
+        grad = Z.T @ (y - p)
+        w = np.maximum(p * (1.0 - p), 1e-12)
+        try:
+            step = np.linalg.solve((Z * w[:, None]).T @ Z, grad)
+        except np.linalg.LinAlgError:
+            return None
+        beta = beta + step
+        if not np.all(np.isfinite(beta)) or np.abs(beta).max() > 1e6:
+            return None
+        if np.abs(step).max() < tol:
+            break
+    return beta
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_newton_closed_form_matches_matrix_solve(seed):
+    rng = np.random.default_rng([21, seed])
+    n = int(rng.integers(50, 3000))
+    x = rng.normal(rng.normal(), rng.uniform(0.2, 3.0), n)
+    b = rng.normal(0.0, 1.5, 2)
+    y = (rng.random(n) < 1 / (1 + np.exp(-(b[1] * x + b[0])))).astype(float)
+    for start in [(0.0, 0.0), tuple(b), tuple(b + rng.normal(0.0, 0.5, 2))]:
+        got, ref = _logistic_newton(x, y, *start), _matrix_newton(x, y, *start)
+        assert got is not None and ref is not None
+        assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("y_of_x", [lambda x: x > 0, lambda x: np.zeros_like(x), lambda x: x > 10])
+def test_newton_separable_fails_alike(y_of_x):
+    x = np.linspace(-1.0, 1.0, 200)
+    y = y_of_x(x).astype(float)
+    got, ref = _logistic_newton(x, y, 0.0, 1.0), _matrix_newton(x, y, 0.0, 1.0)
+    assert (got is None) == (ref is None)
+
+
+# -- SEM fitter: sampler state and several rows --------------------------------
+
+
+def test_sem_interleaved_fits_equal_solo_fits():
+    # the sampler's running rate lives in each fit; threads must not share it
+    jobs = [(_self_masked_fixture(k, phi1=2.0, n=600, base=66), SeedSpec(15, k)) for k in range(4)]
+    solo = [sem_selection_fit(X, init_phi=(0.0, 1.0), iters=40, burn_in=10, seed=s) for X, s in jobs]
+    out = [None] * len(jobs)
+
+    def run(k):
+        X, s = jobs[k]
+        out[k] = sem_selection_fit(X, init_phi=(0.0, 1.0), iters=40, burn_in=10, seed=s)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for a, b in zip(solo, out):
+        for field in ("mu_chain", "sigma_chain", "phi_chain"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+        assert (a.rejection_rounds, a.grid_fallbacks) == (b.rejection_rounds, b.grid_fallbacks)
+
+
+def test_sem_three_rows_with_different_means():
+    rng = np.random.default_rng(16)
+    mu, sd, n = np.array([-2.0, 0.0, 5.0]), np.array([0.5, 1.0, 2.0]), 1500
+    x = mu[:, None] + sd[:, None] * rng.standard_normal((3, n))
+    spec = MechanismSpec(MechanismKind.MNAR_SELF_MASK, phi0=0.0, phi1=1.0)
+    X = IncompleteMatrix(x, gen_mask((3, n), spec, X=x, seed=SeedSpec(16, 1)))
+    res = sem_selection_fit(X, init_phi=(0.0, 1.0), iters=120, burn_in=40, seed=SeedSpec(16, 2))
+    for chain in (res.mu_chain, res.sigma_chain, res.phi_chain):
+        assert np.isfinite(chain).all()
+    assert np.argsort(res.theta.mu).tolist() == [0, 1, 2]
+    assert 120 <= res.rejection_rounds <= 240
