@@ -155,6 +155,13 @@ def split_column(X: IncompleteMatrix, j: int) -> ColumnSplit:
     return ColumnSplit(observed, missing, X.values[observed, j].copy())
 
 
+def _parity_halves(sites: NDArray) -> list[NDArray]:
+    """Split integer indices into their even and odd halves, dropping an
+    empty half. No two indices of a half are neighbours, so a chain model
+    (an AR(1) series, a lag-one signal) updates each half in one batch."""
+    return [h for h in (sites[sites % 2 == 0], sites[sites % 2 == 1]) if len(h)]
+
+
 def rmse_missing(Xhat: NDArray, Xtrue: NDArray, M: NDArray) -> float:
     """Root mean squared error over the masked (M == 0) entries only."""
     Xhat = np.asarray(Xhat, dtype=float)

@@ -16,7 +16,11 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import cho_factor, cho_solve
 
-from .core import IncompleteMatrix
+from .core import IncompleteMatrix, _parity_halves
+
+# A batched step holds at most this many float64 entries (512 KB) in one stack
+# of p x p matrices, so its memory does not grow with the column count.
+_STACK_ENTRIES = 2**16
 
 
 def _laplacian(W: NDArray) -> NDArray:
@@ -55,6 +59,25 @@ def _innovations(X: NDArray, A: NDArray) -> NDArray:
     E[:, 0] = X[:, 0]
     E[:, 1:] = X[:, 1:] - A @ X[:, :-1]
     return E
+
+
+def _chunks(count: int, p: int) -> list[slice]:
+    """Consecutive slices of range(count) whose p x p stacks fit _STACK_ENTRIES."""
+    size = max(1, _STACK_ENTRIES // (p * p))
+    return [slice(s, s + size) for s in range(0, count, size)]
+
+
+def _spd_solve(H: NDArray, rhs: NDArray) -> NDArray:
+    """Solve the stack of systems H[k] x[k] = rhs[k]. A system whose Cholesky
+    factor fails (not positive definite), or that is singular to working
+    precision, takes the least-squares solution instead."""
+    try:
+        np.linalg.cholesky(H)
+        return np.linalg.solve(H, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if len(H) > 1:  # find the failed systems, one at a time
+            return np.concatenate([_spd_solve(H[k : k + 1], rhs[k : k + 1]) for k in range(len(H))])
+        return np.linalg.lstsq(H[0], rhs[0], rcond=None)[0][None]
 
 
 class UndirectedGraph:
@@ -180,7 +203,9 @@ def recover_tikhonov(
     residual against alpha * tr(X^T L X) (+ beta * ||X||_F^2), solved by a
     linear system or iteratively reweighted least squares respectively. A
     nonzero beta adds the Frobenius penalty under squared and Huber fidelity;
-    exact fidelity does not read it.
+    exact fidelity does not read it. The Huber IRLS runs a chunk of columns
+    at once, one batched solve per step over the columns still moving; each
+    column stops by its own rule.
     """
     cfg = cfg or RecoveryConfig()
     W = W.W if isinstance(W, UndirectedGraph) else np.asarray(W, dtype=float)
@@ -212,29 +237,27 @@ def recover_tikhonov(
             except np.linalg.LinAlgError:
                 out[:, cols] = np.linalg.lstsq(H, rhs, rcond=None)[0]
         return out
-    # Huber fidelity by IRLS per column. The reweighted system is SPD unless
-    # beta = 0 and a graph component carries no data weight; Cholesky then
-    # fails and least squares picks the minimum-norm solution.
+    # Huber fidelity by IRLS, batched over the unconverged columns of a chunk;
+    # each column keeps its own stopping rule. The reweighted system is SPD
+    # unless beta = 0 and a graph component carries no data weight; Cholesky
+    # then fails and least squares picks that column's minimum-norm solution.
     diag = np.diag_indices(Y.p)
-    for j in range(Y.n):
-        m = Y.mask[:, j].astype(float)
-        x = y_full[:, j].copy()
+    for sl in _chunks(Y.n, Y.p):
+        y, m = y_full[:, sl].T, Y.mask[:, sl].T.astype(float)
+        x = y.copy()
+        todo = np.arange(len(y))
         for _ in range(cfg.max_iter):
-            resid = y_full[:, j] - x
-            a = np.abs(resid)
-            omega = m * np.where(a <= cfg.delta, 1.0, cfg.delta / np.maximum(a, 1e-300))
-            H = base.copy()
-            H[diag] += omega
-            rhs = omega * y_full[:, j]
-            try:
-                x_new = cho_solve(cho_factor(H, check_finite=False), rhs, check_finite=False)
-            except np.linalg.LinAlgError:
-                x_new = np.linalg.lstsq(H, rhs, rcond=None)[0]
-            if np.abs(x_new - x).max() < cfg.tol * (1.0 + np.abs(x).max()):
-                x = x_new
+            a = np.abs(y[todo] - x[todo])
+            omega = m[todo] * np.where(a <= cfg.delta, 1.0, cfg.delta / np.maximum(a, 1e-300))
+            H = np.repeat(base[None], len(todo), axis=0)
+            H[:, diag[0], diag[1]] += omega
+            x_new = _spd_solve(H, omega * y[todo])
+            done = np.abs(x_new - x[todo]).max(axis=1) < cfg.tol * (1.0 + np.abs(x[todo]).max(axis=1))
+            x[todo] = x_new
+            todo = todo[~done]
+            if len(todo) == 0:
                 break
-            x = x_new
-        out[:, j] = x
+        out[:, sl] = x.T
     return out
 
 
@@ -248,8 +271,11 @@ def recover_tv(
     """Total-variation recovery with observed entries held fixed.
 
     Splits the per-column objective alpha * sum_e w_e |x_i - x_j| over edge
-    differences and runs ADMM; the best-objective feasible iterate is
-    returned (TV minimizers need not be unique).
+    differences and runs ADMM; each column's best-objective feasible iterate
+    is returned (TV minimizers need not be unique). One ADMM iteration serves
+    a whole chunk of columns: each column's x-update applies its pattern's
+    inverse of Q[mis, mis], embedded in a p x p zero matrix, and the chunk's
+    stack of them is applied in one batched product.
     """
     _check_alpha(alpha)
     W = W.W if isinstance(W, UndirectedGraph) else np.asarray(W, dtype=float)
@@ -263,34 +289,40 @@ def recover_tv(
     thr = (alpha * we / rho)[:, None]
     y_full = Y.filled(0.0)
     out = Y.values.copy()
-    for obs, mis, cols in Y.pattern_groups:
-        if len(mis) == 0:
-            continue
-        try:
-            f = cho_factor(Q[np.ix_(mis, mis)])
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("missing component disconnected from observed nodes") from exc
-        Xg = y_full[:, cols]
-        Xg[mis] = 0.0
-        coupling = Q[np.ix_(mis, obs)] @ Xg[obs]  # observed rows never change
-        nc = len(cols)
-        Z = D @ Xg
-        Ud = np.zeros((n_e, nc))
-        best_obj = np.full(nc, np.inf)
-        best = Xg[mis].copy()
+    groups = [(mis, cols) for _obs, mis, cols in Y.pattern_groups if len(mis)]
+    if not groups:
+        return out
+    todo = np.concatenate([cols for _mis, cols in groups])
+    group = np.repeat(np.arange(len(groups)), [len(cols) for _mis, cols in groups])
+    for sl in _chunks(len(todo), p):
+        cols, g = todo[sl], group[sl]
+        # each column's inverse of Q[mis, mis], embedded in a p x p zero matrix
+        K = np.zeros((len(cols), p, p))
+        for k in np.unique(g):
+            mis = groups[k][0]
+            try:
+                f = cho_factor(Q[np.ix_(mis, mis)])
+            except np.linalg.LinAlgError as exc:
+                raise ValueError("missing component disconnected from observed nodes") from exc
+            K[np.ix_(g == k, mis, mis)] = cho_solve(f, np.eye(len(mis)))
+        Y0 = y_full[:, cols]  # zero on the missing rows; observed rows never change
+        coupling = Q @ Y0
+        Z = D @ Y0
+        Ud = np.zeros_like(Z)
+        best_obj = np.full(len(cols), np.inf)
+        best = Y0.copy()
         for _ in range(max_iter):
-            rhs = D.T @ (Z - Ud)
-            Xg[mis] = cho_solve(f, rhs[mis] - coupling, check_finite=False)
+            Xg = Y0 + (K @ (D.T @ (Z - Ud) - coupling).T[:, :, None])[:, :, 0].T
             Dx = D @ Xg
             obj = alpha * (we @ np.abs(Dx))
             better = obj < best_obj
             if better.any():
                 best_obj = np.where(better, obj, best_obj)
-                best[:, better] = Xg[mis][:, better]
+                best[:, better] = Xg[:, better]
             V = Dx + Ud
             Z = np.sign(V) * np.maximum(np.abs(V) - thr, 0.0)
             Ud += Dx - Z
-        out[np.ix_(mis, cols)] = best
+        out[:, cols] = np.where(Y.mask[:, cols] == 1, out[:, cols], best)
     return out
 
 
@@ -451,6 +483,30 @@ def _stsrgl_objective(X, A, w, Yz, mask, sigma_n2, alpha_a, alpha_l):
     return fid + 0.5 * n * gmrf + alpha_a * float(np.abs(A).sum())
 
 
+def _signal_half_sweep(X, cols, L, A, Dw, B0):
+    """Exact minimization of the joint objective over the signal columns
+    `cols`, no two of them adjacent, given the others and both graphs; in
+    place. Column t solves (H + diag(Dw[:, t])) x_t = B0[:, t] + L A x_{t-1}
+    + A^T L x_{t+1}, with H = L + A^T L A, or L for the last column. Each
+    system is SPD (connected graph, an observed entry in every column)."""
+    p, n = X.shape
+    ATL = A.T @ L
+    H_inner = L + ATL @ A
+    b = B0[:, cols].copy()
+    inner = cols > 0
+    b[:, inner] += (L @ A) @ X[:, cols[inner] - 1]
+    inner = cols < n - 1
+    b[:, inner] += ATL @ X[:, cols[inner] + 1]
+    diag = np.diag_indices(p)
+    for sl in _chunks(len(cols), p):
+        c = cols[sl]
+        H = np.repeat(H_inner[None], len(c), axis=0)
+        if c[-1] == n - 1:
+            H[-1] = L
+        H[:, diag[0], diag[1]] += Dw[:, c].T
+        X[:, c] = np.linalg.solve(H, b[:, sl].T[:, :, None])[:, :, 0].T
+
+
 def stsrgl_fit(
     Y: IncompleteMatrix,
     alpha_a: float = 0.01,
@@ -464,12 +520,14 @@ def stsrgl_fit(
     """Joint recovery of the signal and both graph structures.
 
     Block-coordinate descent on the noisy-observation MAP objective:
-    ``x_sweeps`` Gauss-Seidel passes of per-column solves for the signal,
-    proximal-gradient steps for the directed adjacency, then the Laplacian
-    learner on the innovation second moments. The first column is treated
-    as an innovation itself so every block sees the same objective; it must
-    decrease every cycle, and an increase beyond slack aborts with a
-    diagnostic.
+    ``x_sweeps`` red-black sweeps for the signal (every even column solved
+    exactly given the odd ones, in batches, then every odd column given the
+    even ones; column t couples only to t - 1 and t + 1, so each half-sweep
+    is an exact block minimization), proximal-gradient steps for the
+    directed adjacency, then the Laplacian learner on the innovation second
+    moments. The first column is treated as an innovation itself so every
+    block sees the same objective; it must decrease every cycle, and an
+    increase beyond slack aborts with a diagnostic.
     """
     if iters < 1 or not (0 < sigma_n2 < np.inf and 0 <= alpha_a < np.inf and 0 <= alpha_l < np.inf):
         raise ValueError(
@@ -492,6 +550,7 @@ def stsrgl_fit(
     B0 = Dw * Yz
     A = np.zeros((p, p))
     iu, ju = np.triu_indices(p, k=1)
+    halves = _parity_halves(np.arange(n))
 
     E = _innovations(X, A)
     g = gmrf_learn(E @ E.T / n, alpha_l, max_iter=gmrf_iters)
@@ -499,21 +558,10 @@ def stsrgl_fit(
     trace = [_stsrgl_objective(X, A, w, Yz, Y.mask, sigma_n2, alpha_a, alpha_l)]
     for _cycle in range(iters):
         L = g.L
-        # (a) signal given the graphs: Gauss-Seidel over the columns; each
-        # system is SPD (connected graph, an observed entry in every column)
-        ALA = A.T @ L @ A
-        LA = L @ A
-        H_inner = L + ALA
+        # (a) signal given the graphs: red-black sweeps over the columns
         for _sweep in range(x_sweeps):
-            for t in range(n):
-                H = H_inner if t < n - 1 else L
-                Hd = H + np.diag(Dw[:, t])
-                b = B0[:, t]
-                if t >= 1:
-                    b = b + LA @ X[:, t - 1]
-                if t < n - 1:
-                    b = b + (A.T @ (L @ X[:, t + 1]))
-                X[:, t] = np.linalg.solve(Hd, b)
+            for cols in halves:
+                _signal_half_sweep(X, cols, L, A, Dw, B0)
         # (b) directed adjacency: proximal-gradient steps on the weighted fit
         C1 = X[:, 1:] @ X[:, :-1].T
         C0 = X[:, :-1] @ X[:, :-1].T

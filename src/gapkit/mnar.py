@@ -134,7 +134,8 @@ def sample_missing_entry(theta_row, phi, seed: SeedSpec = SeedSpec(0)) -> float:
 
 
 def _logistic_newton(x, y, phi0, phi1, max_iter=50, tol=1e-10):
-    """Newton fit of P(y=1) = sigmoid(phi1 * x + phi0); None when it fails.
+    """Newton fit of P(y=1) = sigmoid(phi1 * x + phi0); None when it fails
+    or does not converge within max_iter steps.
 
     The 2 x 2 step is solved in closed form from the weighted sums
     sum w, sum w x, sum w x^2 and the score sum (y - p), sum (y - p) x.
@@ -155,8 +156,8 @@ def _logistic_newton(x, y, phi0, phi1, max_iter=50, tol=1e-10):
         if not (math.isfinite(b0) and math.isfinite(b1)) or max(abs(b0), abs(b1)) > 1e6:
             return None
         if max(abs(d0), abs(d1)) < tol:
-            break
-    return np.array([b0, b1])
+            return np.array([b0, b1])
+    return None  # not converged: on separable data the slope climbs until the weights vanish
 
 
 @dataclass

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import gammaln
 
-from .core import SeedSpec
+from .core import SeedSpec, _parity_halves
 from .em import NU_GRID, EmConfig
 
 # log Gamma((nu + 1)/2) - log Gamma(nu/2) on the grid, for the t log density
@@ -169,13 +169,6 @@ def _initial_fill(y, observed):
     return x
 
 
-def _parity_halves(sites):
-    """Split point indices into their even and odd halves, dropping an empty
-    half. No two points of a half are neighbours, so under the AR(1) chain
-    they are conditionally independent given everything else."""
-    return [h for h in (sites[sites % 2 == 0], sites[sites % 2 == 1]) if len(h)]
-
-
 def _two_sided(prev, nxt, mu, a, w_prev, w_next):
     """Conditional mean of x_t given x_{t-1} = prev and x_{t+1} = nxt, when
     the innovations into and out of t have precisions w_prev / sigma^2 and
@@ -187,7 +180,8 @@ def _two_sided(prev, nxt, mu, a, w_prev, w_next):
 def _gap_layout(observed):
     """(head_end, tail_start, halves): the gaps before head_end and from
     tail_start on are the leading and trailing runs, and halves are the
-    interior gaps split by `_parity_halves`."""
+    interior gaps split by `_parity_halves`; under the AR(1) chain the points
+    of a half are conditionally independent given everything else."""
     obs_idx = np.flatnonzero(observed)
     head_end, tail_start = obs_idx[0], obs_idx[-1] + 1
     interior = np.flatnonzero(~observed[head_end:tail_start]) + head_end

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import cho_factor, cho_solve
 
 from gapkit.core import IncompleteMatrix, SeedSpec
 from gapkit.graph import (
@@ -21,7 +22,8 @@ from gapkit.graph import (
     stsrgl_fit,
     var_learn,
 )
-from gapkit.graph import _edge_form, _gmrf_gradient, _gmrf_objective
+from gapkit import graph
+from gapkit.graph import _edge_form, _gmrf_gradient, _gmrf_objective, _signal_half_sweep
 
 PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
@@ -228,6 +230,68 @@ def test_tv_all_observed_identity():
     vals = rng.standard_normal((3, 4))
     Y = IncompleteMatrix.from_complete(vals)
     assert_allclose(recover_tv(Y, PATH3), vals)
+
+
+def _tv_admm_per_group(Y, W, alpha, max_iter, rho=1.0):
+    """Reference TV recovery: ADMM run separately for each mask pattern."""
+    p = W.shape[0]
+    iu, ju = np.triu_indices(p, k=1)
+    keep = W[iu, ju] > 0
+    ei, ej, we = iu[keep], ju[keep], W[iu, ju][keep]
+    n_e = len(we)
+    D = np.zeros((n_e, p))
+    D[np.arange(n_e), ei] = 1.0
+    D[np.arange(n_e), ej] = -1.0
+    Q = D.T @ D
+    thr = (alpha * we / rho)[:, None]
+    y_full = Y.filled(0.0)
+    out = Y.values.copy()
+    for obs, mis, cols in Y.pattern_groups:
+        if len(mis) == 0:
+            continue
+        try:
+            f = cho_factor(Q[np.ix_(mis, mis)])
+        except np.linalg.LinAlgError as exc:
+            raise ValueError("missing component disconnected from observed nodes") from exc
+        Xg = y_full[:, cols]
+        Xg[mis] = 0.0
+        coupling = Q[np.ix_(mis, obs)] @ Xg[obs]
+        Z = D @ Xg
+        Ud = np.zeros((n_e, len(cols)))
+        best_obj = np.full(len(cols), np.inf)
+        best = Xg[mis].copy()
+        for _ in range(max_iter):
+            rhs = D.T @ (Z - Ud)
+            Xg[mis] = cho_solve(f, rhs[mis] - coupling)
+            Dx = D @ Xg
+            obj = alpha * (we @ np.abs(Dx))
+            better = obj < best_obj
+            best_obj = np.where(better, obj, best_obj)
+            best[:, better] = Xg[mis][:, better]
+            V = Dx + Ud
+            Z = np.sign(V) * np.maximum(np.abs(V) - thr, 0.0)
+            Ud += Dx - Z
+        out[np.ix_(mis, cols)] = best
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.3, 1.0])
+def test_tv_matches_per_column_admm(alpha):
+    W, Y = _gappy_field(20, seed=23, side=10)
+    mask = Y.mask.copy()
+    mask[:, 3:11] = mask[:, [3]]  # one pattern over eight columns, across chunks
+    mask[:, 15] = 1  # a fully observed column
+    Y = IncompleteMatrix(np.nan_to_num(Y.values), mask)
+    assert Y.n > graph._STACK_ENTRIES // Y.p**2  # more columns than one chunk
+    got, ref = recover_tv(Y, W, alpha=alpha, max_iter=60), _tv_admm_per_group(Y, W, alpha, 60)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert np.array_equal(got[:, 15], Y.values[:, 15])
+    W[7] = W[:, 7] = 0.0  # node 7 isolated: every column missing it fails
+    mask[7, 12] = 0
+    Y = IncompleteMatrix(np.nan_to_num(Y.values), mask)
+    for run in (recover_tv, lambda Y, W, alpha: _tv_admm_per_group(Y, W, alpha, 5)):
+        with pytest.raises(ValueError, match="disconnected"):
+            run(Y, W, alpha=alpha)
 
 
 # -- graph learning ---------------------------------------------------------
@@ -463,6 +527,53 @@ def test_stsrgl_objective_never_increases_on_random_inputs(p, n, alpha_a, alpha_
     assert np.all(np.diff(trace) <= 1e-8 * (1 + np.abs(trace[:-1])))
 
 
+def _signal_problem(p, n, seed):
+    """Random SPD signal step: L SPD, A of spectral norm 0.6, data weights
+    Dw >= 0 with B0 = Dw * y."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((p, p))
+    L = M @ M.T / p + 0.1 * np.eye(p)
+    A = rng.standard_normal((p, p))
+    A *= 0.6 / np.linalg.norm(A, 2)
+    Dw = np.where(rng.random((p, n)) < 0.5, rng.uniform(0.5, 5.0, (p, n)), 0.0)
+    return L, A, Dw, Dw * rng.standard_normal((p, n))
+
+
+def _signal_system(L, A, Dw, B0):
+    """The signal objective 0.5 x^T H x - B0 . x over the stacked columns
+    (e_0 = x_0, e_t = x_t - A x_{t-1}; 0.5 sum_t e_t^T L e_t plus the data
+    term), as its dense block-tridiagonal H and right-hand side."""
+    p, n = Dw.shape
+    E = np.eye(n * p)
+    for t in range(1, n):
+        E[t * p:(t + 1) * p, (t - 1) * p:t * p] = -A
+    H = E.T @ np.kron(np.eye(n), L) @ E + np.diag(Dw.T.reshape(-1))
+    return H, B0.T.reshape(-1)
+
+
+@pytest.mark.parametrize("n", [2, 7, 8])
+def test_signal_half_sweeps_descend_to_the_dense_solve(monkeypatch, n):
+    p = 4
+    monkeypatch.setattr(graph, "_STACK_ENTRIES", 2 * p * p)  # two columns per chunk
+    L, A, Dw, B0 = _signal_problem(p, n, seed=n)
+    H, b = _signal_system(L, A, Dw, B0)
+
+    def objective(X):
+        x = X.T.reshape(-1)
+        return 0.5 * x @ H @ x - b @ x
+
+    X = np.zeros((p, n))
+    halves = [np.arange(0, n, 2), np.arange(1, n, 2)]
+    values = [objective(X)]
+    for _sweep in range(400):
+        for cols in halves:
+            _signal_half_sweep(X, cols, L, A, Dw, B0)
+            values.append(objective(X))
+    assert np.all(np.diff(values) <= 1e-12 * (1.0 + np.abs(values[:-1])))
+    exact = np.linalg.solve(H, b).reshape(n, p).T
+    assert np.abs(X - exact).max() <= 1e-8 * max(np.abs(exact).max(), 1.0)
+
+
 def test_stsrgl_requires_observed_columns():
     Y = IncompleteMatrix(np.zeros((3, 3)), [[1, 0, 1], [1, 0, 1], [1, 0, 1]])
     with pytest.raises(ValueError, match="observed entry"):
@@ -550,12 +661,14 @@ def _huber_irls_lstsq(Y, W, cfg):
     ids=["alpha", "alpha_beta", "unregularized"],
 )
 def test_huber_recovery_matches_lstsq_reference(cfg):
-    W, Y = _gappy_field(30, seed=18)
-    W[4] = W[:, 4] = 0.0  # isolated node: the lstsq fallback path
-    rng = np.random.default_rng(19)
-    vals = Y.values + np.where(rng.random(Y.shape) < 0.1, 3.0, 0.0)  # outliers
-    Y = IncompleteMatrix(np.nan_to_num(vals), Y.mask)
-    assert_allclose(recover_tikhonov(Y, W, cfg), _huber_irls_lstsq(Y, W, cfg), rtol=0, atol=1e-10)
+    for side in (3, 7):  # 30 columns are one chunk at p = 9 and two at p = 49
+        W, Y = _gappy_field(30, seed=18, side=side)
+        assert (Y.n > graph._STACK_ENTRIES // Y.p**2) == (side == 7)
+        W[4] = W[:, 4] = 0.0  # isolated node: the lstsq fallback path
+        rng = np.random.default_rng(19)
+        vals = Y.values + np.where(rng.random(Y.shape) < 0.1, 3.0, 0.0)  # outliers
+        Y = IncompleteMatrix(np.nan_to_num(vals), Y.mask)
+        assert_allclose(recover_tikhonov(Y, W, cfg), _huber_irls_lstsq(Y, W, cfg), rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize(

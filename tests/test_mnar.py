@@ -186,8 +186,8 @@ def _matrix_newton(x, y, phi0, phi1, max_iter=50, tol=1e-10):
         if not np.all(np.isfinite(beta)) or np.abs(beta).max() > 1e6:
             return None
         if np.abs(step).max() < tol:
-            break
-    return beta
+            return beta
+    return None
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -209,6 +209,15 @@ def test_newton_separable_fails_alike(y_of_x):
     y = y_of_x(x).astype(float)
     got, ref = _logistic_newton(x, y, 0.0, 1.0), _matrix_newton(x, y, 0.0, 1.0)
     assert (got is None) == (ref is None)
+
+
+def test_newton_unconverged_on_separable_data_is_a_failure():
+    # the slope climbs (about 150 after 10 steps, 2,000 after 20) and stalls
+    # as the weights hit their floor, far below the 1e6 guard
+    x = np.linspace(-1.0, 1.0, 200)
+    y = (x > 0).astype(float)
+    assert _logistic_newton(x, y, 0.0, 1.0) is None
+    assert _logistic_newton(x, y, 0.0, 1.0, max_iter=10) is None
 
 
 # -- SEM fitter: sampler state and several rows --------------------------------
