@@ -67,17 +67,24 @@ def _chunks(count: int, p: int) -> list[slice]:
     return [slice(s, s + size) for s in range(0, count, size)]
 
 
-def _spd_solve(H: NDArray, rhs: NDArray) -> NDArray:
-    """Solve the stack of systems H[k] x[k] = rhs[k]. A system whose Cholesky
-    factor fails (not positive definite), or that is singular to working
-    precision, takes the least-squares solution instead."""
-    try:
-        np.linalg.cholesky(H)
-        return np.linalg.solve(H, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        if len(H) > 1:  # find the failed systems, one at a time
-            return np.concatenate([_spd_solve(H[k : k + 1], rhs[k : k + 1]) for k in range(len(H))])
-        return np.linalg.lstsq(H[0], rhs[0], rcond=None)[0][None]
+def _pattern_chunks(counts: list[int], p: int) -> list[list[tuple[int, slice]]]:
+    """Chunks of the column groups with counts[k] columns each, as lists of
+    (k, slice of group k's columns). A group is cut into pieces of at most
+    _STACK_ENTRIES // p columns, and consecutive pieces, smallest groups
+    first, share a chunk while it holds at most _STACK_ENTRIES // p**2
+    columns with every piece padded to the widest. So distinct patterns
+    share a stack, and a pattern over many columns fills chunks of its own."""
+    most, width = max(1, _STACK_ENTRIES // (p * p)), max(1, _STACK_ENTRIES // p)
+    chunks: list[list[tuple[int, slice]]] = []
+    for k in sorted(range(len(counts)), key=counts.__getitem__):
+        for s in range(0, counts[k], width):
+            piece = (k, slice(s, min(s + width, counts[k])))
+            last = chunks[-1] if chunks else []
+            if last and (len(last) + 1) * max(sl.stop - sl.start for _k, sl in last + [piece]) <= most:
+                last.append(piece)
+            else:
+                chunks.append([piece])
+    return chunks
 
 
 class UndirectedGraph:
@@ -203,9 +210,7 @@ def recover_tikhonov(
     residual against alpha * tr(X^T L X) (+ beta * ||X||_F^2), solved by a
     linear system or iteratively reweighted least squares respectively. A
     nonzero beta adds the Frobenius penalty under squared and Huber fidelity;
-    exact fidelity does not read it. The Huber IRLS runs a chunk of columns
-    at once, one batched solve per step over the columns still moving; each
-    column stops by its own rule.
+    exact fidelity does not read it.
     """
     cfg = cfg or RecoveryConfig()
     W = W.W if isinstance(W, UndirectedGraph) else np.asarray(W, dtype=float)
@@ -237,27 +242,29 @@ def recover_tikhonov(
             except np.linalg.LinAlgError:
                 out[:, cols] = np.linalg.lstsq(H, rhs, rcond=None)[0]
         return out
-    # Huber fidelity by IRLS, batched over the unconverged columns of a chunk;
-    # each column keeps its own stopping rule. The reweighted system is SPD
-    # unless beta = 0 and a graph component carries no data weight; Cholesky
-    # then fails and least squares picks that column's minimum-norm solution.
+    # Huber fidelity by IRLS per column. The reweighted system is SPD unless
+    # beta = 0 and a graph component carries no data weight; Cholesky then
+    # fails and least squares picks the minimum-norm solution.
     diag = np.diag_indices(Y.p)
-    for sl in _chunks(Y.n, Y.p):
-        y, m = y_full[:, sl].T, Y.mask[:, sl].T.astype(float)
-        x = y.copy()
-        todo = np.arange(len(y))
+    for j in range(Y.n):
+        m = Y.mask[:, j].astype(float)
+        x = y_full[:, j].copy()
         for _ in range(cfg.max_iter):
-            a = np.abs(y[todo] - x[todo])
-            omega = m[todo] * np.where(a <= cfg.delta, 1.0, cfg.delta / np.maximum(a, 1e-300))
-            H = np.repeat(base[None], len(todo), axis=0)
-            H[:, diag[0], diag[1]] += omega
-            x_new = _spd_solve(H, omega * y[todo])
-            done = np.abs(x_new - x[todo]).max(axis=1) < cfg.tol * (1.0 + np.abs(x[todo]).max(axis=1))
-            x[todo] = x_new
-            todo = todo[~done]
-            if len(todo) == 0:
+            resid = y_full[:, j] - x
+            a = np.abs(resid)
+            omega = m * np.where(a <= cfg.delta, 1.0, cfg.delta / np.maximum(a, 1e-300))
+            H = base.copy()
+            H[diag] += omega
+            rhs = omega * y_full[:, j]
+            try:
+                x_new = cho_solve(cho_factor(H, check_finite=False), rhs, check_finite=False)
+            except np.linalg.LinAlgError:
+                x_new = np.linalg.lstsq(H, rhs, rcond=None)[0]
+            if np.abs(x_new - x).max() < cfg.tol * (1.0 + np.abs(x).max()):
+                x = x_new
                 break
-        out[:, sl] = x.T
+            x = x_new
+        out[:, j] = x
     return out
 
 
@@ -273,9 +280,11 @@ def recover_tv(
     Splits the per-column objective alpha * sum_e w_e |x_i - x_j| over edge
     differences and runs ADMM; each column's best-objective feasible iterate
     is returned (TV minimizers need not be unique). One ADMM iteration serves
-    a whole chunk of columns: each column's x-update applies its pattern's
-    inverse of Q[mis, mis], embedded in a p x p zero matrix, and the chunk's
-    stack of them is applied in one batched product.
+    a whole chunk of columns: each mask pattern's Q[mis, mis] is factored
+    once, its inverse embedded in a zero matrix over the rows that some
+    pattern of the chunk misses, and the chunk's stack of them applied to
+    all its columns in one batched product. Distinct patterns share a chunk;
+    a pattern repeated over many columns fills chunks of its own.
     """
     _check_alpha(alpha)
     W = W.W if isinstance(W, UndirectedGraph) else np.asarray(W, dtype=float)
@@ -290,39 +299,47 @@ def recover_tv(
     y_full = Y.filled(0.0)
     out = Y.values.copy()
     groups = [(mis, cols) for _obs, mis, cols in Y.pattern_groups if len(mis)]
-    if not groups:
-        return out
-    todo = np.concatenate([cols for _mis, cols in groups])
-    group = np.repeat(np.arange(len(groups)), [len(cols) for _mis, cols in groups])
-    for sl in _chunks(len(todo), p):
-        cols, g = todo[sl], group[sl]
-        # each column's inverse of Q[mis, mis], embedded in a p x p zero matrix
-        K = np.zeros((len(cols), p, p))
-        for k in np.unique(g):
+    inverse = None  # (group index, inverse of Q[mis, mis]) of the last pattern factored
+    for chunk in _pattern_chunks([len(cols) for _mis, cols in groups], p):
+        # each pattern's inverse, embedded in a zero matrix over the rows U
+        # that some pattern of the chunk misses
+        U = np.unique(np.concatenate([groups[k][0] for k, _sl in chunk]))
+        K = np.zeros((len(chunk), len(U), len(U)))
+        for i, (k, _sl) in enumerate(chunk):
             mis = groups[k][0]
-            try:
-                f = cho_factor(Q[np.ix_(mis, mis)])
-            except np.linalg.LinAlgError as exc:
-                raise ValueError("missing component disconnected from observed nodes") from exc
-            K[np.ix_(g == k, mis, mis)] = cho_solve(f, np.eye(len(mis)))
+            if inverse is None or inverse[0] != k:
+                try:
+                    f = cho_factor(Q[np.ix_(mis, mis)])
+                except np.linalg.LinAlgError as exc:
+                    raise ValueError("missing component disconnected from observed nodes") from exc
+                inverse = (k, cho_solve(f, np.eye(len(mis))))
+            at = np.searchsorted(U, mis)
+            K[i][np.ix_(at, at)] = inverse[1]
+        # each piece's columns, padded to the widest piece by repeating them;
+        # the chunk's columns run piece by piece
+        width = max(sl.stop - sl.start for _k, sl in chunk)
+        cols = np.concatenate([np.resize(groups[k][1][sl], width) for k, sl in chunk])
         Y0 = y_full[:, cols]  # zero on the missing rows; observed rows never change
-        coupling = Q @ Y0
-        Z = D @ Y0
-        Ud = np.zeros_like(Z)
+        DU, DY0, coupling = D[:, U], D @ Y0, (Q @ Y0)[U]
+        Z, Ud = DY0, np.zeros_like(DY0)
         best_obj = np.full(len(cols), np.inf)
-        best = Y0.copy()
+        best = np.zeros((len(U), len(cols)))  # the iterate on the rows U
         for _ in range(max_iter):
-            Xg = Y0 + (K @ (D.T @ (Z - Ud) - coupling).T[:, :, None])[:, :, 0].T
-            Dx = D @ Xg
+            R = (DU.T @ (Z - Ud) - coupling).reshape(len(U), len(chunk), width)
+            XU = (K @ R.transpose(1, 0, 2)).transpose(1, 0, 2).reshape(len(U), -1)
+            Dx = DY0 + DU @ XU
             obj = alpha * (we @ np.abs(Dx))
             better = obj < best_obj
             if better.any():
                 best_obj = np.where(better, obj, best_obj)
-                best[:, better] = Xg[:, better]
+                best[:, better] = XU[:, better]
             V = Dx + Ud
             Z = np.sign(V) * np.maximum(np.abs(V) - thr, 0.0)
             Ud += Dx - Z
-        out[:, cols] = np.where(Y.mask[:, cols] == 1, out[:, cols], best)
+        best = best.reshape(len(U), len(chunk), width)
+        for i, (k, sl) in enumerate(chunk):
+            mis, c = groups[k][0], groups[k][1][sl]
+            out[np.ix_(mis, c)] = best[np.searchsorted(U, mis), i, : len(c)]
     return out
 
 

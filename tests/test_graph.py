@@ -275,19 +275,29 @@ def _tv_admm_per_group(Y, W, alpha, max_iter, rho=1.0):
     return out
 
 
+@pytest.mark.parametrize("stack", [None, 400])  # 400 entries at p = 100: pieces of four columns
 @pytest.mark.parametrize("alpha", [0.3, 1.0])
-def test_tv_matches_per_column_admm(alpha):
+def test_tv_matches_per_column_admm(monkeypatch, alpha, stack):
+    if stack:
+        monkeypatch.setattr(graph, "_STACK_ENTRIES", stack)
     W, Y = _gappy_field(20, seed=23, side=10)
     mask = Y.mask.copy()
-    mask[:, 3:11] = mask[:, [3]]  # one pattern over eight columns, across chunks
+    mask[:, 3:13] = mask[:, [3]]  # one pattern over ten columns
     mask[:, 15] = 1  # a fully observed column
+    mask[:, 17] = mask[:, 16]  # a pattern over two columns, padded beside one of one
     Y = IncompleteMatrix(np.nan_to_num(Y.values), mask)
-    assert Y.n > graph._STACK_ENTRIES // Y.p**2  # more columns than one chunk
+    counts = [len(c) for _o, m, c in Y.pattern_groups if len(m)]
+    chunks = graph._pattern_chunks(counts, Y.p)
+    if stack:  # a chunk per piece; the ten columns of one pattern are three pieces
+        assert all(len(chunk) == 1 for chunk in chunks)
+        assert [counts[k] for chunk in chunks for k, _sl in chunk].count(10) == 3
+    else:  # seven one-column patterns and the pair share two chunks; the ten are a third
+        assert [[counts[k] for k, _sl in chunk] for chunk in chunks] == [[1] * 6, [1, 2], [10]]
     got, ref = recover_tv(Y, W, alpha=alpha, max_iter=60), _tv_admm_per_group(Y, W, alpha, 60)
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     assert np.array_equal(got[:, 15], Y.values[:, 15])
     W[7] = W[:, 7] = 0.0  # node 7 isolated: every column missing it fails
-    mask[7, 12] = 0
+    mask[7, 14] = 0
     Y = IncompleteMatrix(np.nan_to_num(Y.values), mask)
     for run in (recover_tv, lambda Y, W, alpha: _tv_admm_per_group(Y, W, alpha, 5)):
         with pytest.raises(ValueError, match="disconnected"):
@@ -661,14 +671,12 @@ def _huber_irls_lstsq(Y, W, cfg):
     ids=["alpha", "alpha_beta", "unregularized"],
 )
 def test_huber_recovery_matches_lstsq_reference(cfg):
-    for side in (3, 7):  # 30 columns are one chunk at p = 9 and two at p = 49
-        W, Y = _gappy_field(30, seed=18, side=side)
-        assert (Y.n > graph._STACK_ENTRIES // Y.p**2) == (side == 7)
-        W[4] = W[:, 4] = 0.0  # isolated node: the lstsq fallback path
-        rng = np.random.default_rng(19)
-        vals = Y.values + np.where(rng.random(Y.shape) < 0.1, 3.0, 0.0)  # outliers
-        Y = IncompleteMatrix(np.nan_to_num(vals), Y.mask)
-        assert_allclose(recover_tikhonov(Y, W, cfg), _huber_irls_lstsq(Y, W, cfg), rtol=0, atol=1e-10)
+    W, Y = _gappy_field(30, seed=18)
+    W[4] = W[:, 4] = 0.0  # isolated node: the lstsq fallback path
+    rng = np.random.default_rng(19)
+    vals = Y.values + np.where(rng.random(Y.shape) < 0.1, 3.0, 0.0)  # outliers
+    Y = IncompleteMatrix(np.nan_to_num(vals), Y.mask)
+    assert_allclose(recover_tikhonov(Y, W, cfg), _huber_irls_lstsq(Y, W, cfg), rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize(
