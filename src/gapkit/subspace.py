@@ -27,6 +27,8 @@ class TrackerState:
     lambda_forget: float
     t: int = 0
     reinit_count: int = 0
+    stage1_iters: int = 0  # robust steps: stage-1 iterations run in total
+    stage1_unconverged: int = 0  # robust steps whose stage 1 hit admm_iters
 
     @property
     def p(self) -> int:
@@ -49,6 +51,11 @@ class RobustConfig:
             raise ValueError("rho must be positive and finite")
         if not 0 <= self.alpha_reg < np.inf:
             raise ValueError("alpha_reg must be nonnegative and finite")
+        iters = self.admm_iters
+        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
+            raise ValueError("admm_iters must be an integer >= 1")
+        if not 0 < self.admm_tol < np.inf:
+            raise ValueError("admm_tol must be positive and finite")
 
 
 @dataclass
@@ -117,13 +124,27 @@ def _rls_row_updates(state, obs, y_t, w, weight=1.0):
 def petrels_update(state: TrackerState, y_t: NDArray, m_t: NDArray) -> TrackerState:
     """One tracking step: project on observed rows, then update those rows."""
     y_t = np.asarray(y_t, dtype=float)
-    m_t = np.asarray(m_t)
-    w, _flag = petrels_weights(state.U, y_t, m_t)
-    obs = np.flatnonzero(m_t == 1)
+    obs = np.flatnonzero(np.asarray(m_t) == 1)
     if len(obs) == 0:
         state.t += 1
         return state
+    # petrels_weights' least squares, on the index computed once here.
+    w = np.linalg.lstsq(state.U[obs], y_t[obs], rcond=None)[0]
     return _rls_row_updates(state, obs, y_t, w)
+
+
+def _pinv(A):
+    """``np.linalg.pinv(A)`` at its default cutoff, without the wrapper.
+
+    The same SVD, cutoff (1e-15 times the largest singular value) and
+    products as numpy's own, so the result is bit-identical to it. LAPACK
+    returns the singular values in descending order, so s[0] is their max.
+    """
+    u, s, vt = np.linalg.svd(A, full_matrices=False)
+    large = s > 1e-15 * s[0]
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return vt.T @ (s[:, None] * u.T)
 
 
 def robust_stage1(U: NDArray, y_t: NDArray, m_t: NDArray, cfg: RobustConfig) -> Stage1Result:
@@ -134,6 +155,10 @@ def robust_stage1(U: NDArray, y_t: NDArray, m_t: NDArray, cfg: RobustConfig) -> 
     given w. The objective is nonincreasing across iterations. The loop is
     not ADMM; the ``admm_iters`` / ``admm_tol`` config names are kept for
     compatibility.
+
+    The objective trace is taken once after the loop, from the stacked
+    per-iteration clipped residuals and outliers; it equals the
+    per-iteration formula up to rounding (relative 1e-12).
     """
     y_t = np.asarray(y_t, dtype=float)
     obs = np.flatnonzero(np.asarray(m_t) == 1)
@@ -142,11 +167,13 @@ def robust_stage1(U: NDArray, y_t: NDArray, m_t: NDArray, cfg: RobustConfig) -> 
     if len(obs) == 0:
         return Stage1Result(np.zeros(r), s, True, np.zeros(1))
     A = U[obs]
-    pinv = np.linalg.pinv(A)
+    pinv = _pinv(A)
     y_o = y_t[obs]
     s_o = np.zeros(len(obs))
-    half = cfg.rho / 2.0
-    trace = []
+    half, tol = cfg.rho / 2.0, cfg.admm_tol
+    neg_half = -half
+    minimum, maximum, absolute, max_of = np.minimum, np.maximum, np.absolute, np.maximum.reduce
+    inners, outliers = [], []
     converged = False
     for _ in range(cfg.admm_iters):
         w = pinv @ (y_o - s_o)
@@ -154,17 +181,20 @@ def robust_stage1(U: NDArray, y_t: NDArray, m_t: NDArray, cfg: RobustConfig) -> 
         # Soft-thresholding as resid minus its clipped part: the clipped part
         # is the fit residual A w + s_new - y_o up to sign, so the objective
         # needs no further matrix product.
-        inner = np.clip(resid, -half, half)
+        inner = minimum(maximum(resid, neg_half), half)
         s_new = resid - inner
-        trace.append(float(inner @ inner) + cfg.rho * float(np.abs(s_new).sum()))
-        delta = np.abs(s_new - s_o).max()
+        inners.append(inner)
+        outliers.append(s_new)
+        delta = max_of(absolute(s_new - s_o))
         s_o = s_new
-        if delta < cfg.admm_tol:
+        if delta < tol:
             converged = True
             break
     w = pinv @ (y_o - s_o)
     s[obs] = s_o
-    return Stage1Result(w, s, converged, np.array(trace))
+    inners, outliers = np.array(inners), np.array(outliers)
+    trace = (inners * inners).sum(axis=1) + cfg.rho * absolute(outliers).sum(axis=1)
+    return Stage1Result(w, s, converged, trace)
 
 
 def robust_update(
@@ -178,10 +208,13 @@ def robust_update(
     the largest rows toward a common bound.
     """
     y_t = np.asarray(y_t, dtype=float)
-    m_t = np.asarray(m_t)
+    observed = np.asarray(m_t) == 1
     stage1 = robust_stage1(state.U, y_t, m_t, cfg)
-    clean = (m_t == 1) & (np.abs(stage1.s) <= OUTLIER_SUPPORT_TOL)
-    obs = np.flatnonzero(clean)
+    if np.count_nonzero(observed):  # an all-masked step runs no stage-1 iteration
+        state.stage1_iters += len(stage1.objective_trace)
+    if not stage1.converged:
+        state.stage1_unconverged += 1
+    obs = np.flatnonzero(observed & (np.abs(stage1.s) <= OUTLIER_SUPPORT_TOL))
     if len(obs) == 0:
         state.t += 1
         return state

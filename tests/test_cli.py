@@ -444,6 +444,28 @@ def test_track_petrels_matches_library_loop(runner, tmp_path):
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
+def test_track_robust_matches_library_loop(runner, tmp_path):
+    from gapkit.core import SeedSpec, format_float
+    from gapkit.subspace import RobustConfig, petrels_init, petrels_weights, robust_update
+
+    stream, _ = _write_stream(tmp_path, 50)
+    out = tmp_path / "track.csv"
+    res = runner.invoke(main, ["track", "--stream", str(stream), "--mode", "robust", "--seed", "3",
+                               "--rho", "0.8", "--alpha", "0.5", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    Y = read_matrix_csv(stream)
+    state = petrels_init(Y.p, 2, SeedSpec(3), lambda_forget=0.98)
+    cfg = RobustConfig(rho=0.8, alpha_reg=0.5)
+    lines = ["t,residual"]
+    for t in range(Y.n):
+        y_t, m_t = Y.filled(0.0)[:, t], Y.mask[:, t]
+        robust_update(state, y_t, m_t, cfg)
+        w, _ = petrels_weights(state.U, y_t, m_t)
+        lines.append(f"{t},{format_float(np.linalg.norm(m_t * (y_t - state.U @ w)))}")
+    assert state.stage1_iters > 0  # the diagnostics stay off the CSV
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 @pytest.mark.parametrize(
     "extra, truth, message",
     [

@@ -4,7 +4,12 @@ from numpy.testing import assert_allclose
 
 from gapkit.core import SeedSpec, sep
 from gapkit.subspace import (
+    CONDITION_CAP,
+    OUTLIER_SUPPORT_TOL,
+    PRECISION_INIT,
     RobustConfig,
+    _clip_row_norms,
+    _pinv,
     petrels_init,
     petrels_update,
     petrels_weights,
@@ -270,3 +275,159 @@ def test_stage1_matches_sign_max_reference(case, seed):
     assert np.array_equal(res.s, s)
     assert len(res.objective_trace) == len(trace)
     assert_allclose(res.objective_trace, trace, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(45, 2), (1, 2), (2, 3), (25, 3), (3, 3)])
+@pytest.mark.parametrize("seed", range(3))
+def test_pinv_matches_numpy_bit_for_bit(shape, seed):
+    A = np.random.default_rng([43, seed]).standard_normal(shape)
+    assert np.array_equal(_pinv(A), np.linalg.pinv(A))
+    A[:, -1] = -2.0 * A[:, 0]  # rank deficient
+    assert np.array_equal(_pinv(A), np.linalg.pinv(A))
+    # A singular value ratio of 1e-14 sits just above the 1e-15 cutoff.
+    u, _, vt = np.linalg.svd(A, full_matrices=False)
+    sv = np.ones(len(vt))
+    sv[-1] = 1e-14
+    A = (u * sv) @ vt
+    assert np.array_equal(_pinv(A), np.linalg.pinv(A))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(admm_iters=0), dict(admm_iters=-3), dict(admm_iters=2.5), dict(admm_iters=True),
+     dict(admm_tol=np.nan), dict(admm_tol=-1.0), dict(admm_tol=0.0), dict(admm_tol=np.inf)],
+    ids=["iters0", "iters_negative", "iters_float", "iters_bool",
+         "tol_nan", "tol_negative", "tol0", "tol_inf"],
+)
+def test_robust_config_rejects_silent_stage1_settings(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        RobustConfig(**kwargs)
+
+
+def test_robust_config_accepts_numpy_integer_iters():
+    assert RobustConfig(admm_iters=np.int64(3)).admm_iters == 3
+
+
+def test_tracker_counts_stage1_iterations_and_unconverged_steps():
+    rng = np.random.default_rng(37)
+    p, r = 15, 2
+    U_true = _basis(p, r, 38)
+    cfg = RobustConfig(rho=0.5, admm_iters=2)
+    state = petrels_init(p, r, SeedSpec(39))
+    iters = unconverged = 0
+    for t in range(40):
+        y = U_true @ rng.standard_normal(r) + 0.1 * rng.standard_normal(p)
+        y += (rng.random(p) < 0.2) * rng.choice([-8.0, 8.0], p)
+        m = np.zeros(p, dtype=int) if t == 7 else (rng.random(p) > 0.2).astype(int)
+        res = robust_stage1(state.U, y, m, cfg)
+        if m.any():
+            iters += len(res.objective_trace)
+        unconverged += not res.converged
+        robust_update(state, y, m, cfg)
+    assert state.t == 40
+    assert 0 < unconverged < 40
+    assert (state.stage1_iters, state.stage1_unconverged) == (iters, unconverged)
+    assert state.stage1_iters <= 2 * 39
+    plain = petrels_init(p, r, SeedSpec(39))
+    petrels_update(plain, y, m)
+    assert (plain.stage1_iters, plain.stage1_unconverged) == (0, 0)
+
+
+# The tracking step as it stood before stage 1 called the ufuncs directly and
+# built its pseudo-inverse from the SVD: np.linalg.pinv, np.clip, and the
+# observed index taken twice. The library step must reproduce its bits.
+def _ref_stage1(U, y_t, m_t, cfg):
+    obs = np.flatnonzero(np.asarray(m_t) == 1)
+    s = np.zeros(U.shape[0])
+    if len(obs) == 0:
+        return np.zeros(U.shape[1]), s
+    A = U[obs]
+    pinv = np.linalg.pinv(A)
+    y_o = y_t[obs]
+    s_o = np.zeros(len(obs))
+    half = cfg.rho / 2.0
+    for _ in range(cfg.admm_iters):
+        w = pinv @ (y_o - s_o)
+        resid = y_o - A @ w
+        s_new = resid - np.clip(resid, -half, half)
+        delta = np.abs(s_new - s_o).max()
+        s_o = s_new
+        if delta < cfg.admm_tol:
+            break
+    w = pinv @ (y_o - s_o)
+    s[obs] = s_o
+    return w, s
+
+
+def _ref_rls_row_updates(state, obs, y_t, w, weight=1.0):
+    lam = state.lambda_forget
+    Rinv = state.row_prec[obs]
+    v = Rinv @ w
+    denom = lam + weight * (v @ w)
+    Rinv_new = (Rinv - v[:, :, None] * v[:, None, :] * weight / denom[:, None, None]) / lam
+    resid = y_t[obs] - state.U[obs] @ w
+    state.U[obs] += weight * resid[:, None] * (Rinv_new @ w)
+    eig = np.linalg.eigvalsh(Rinv_new)
+    bad = (eig[:, -1] > CONDITION_CAP * np.maximum(eig[:, 0], 1e-300)) | (eig[:, 0] <= 0)
+    if bad.any():
+        Rinv_new[bad] = PRECISION_INIT * np.eye(state.r)
+        state.reinit_count += int(bad.sum())
+    state.row_prec[obs] = Rinv_new
+    state.t += 1
+
+
+def _ref_robust_update(state, y_t, m_t, cfg):
+    """Returns whether stage 1 flagged every observed row."""
+    w, s = _ref_stage1(state.U, y_t, m_t, cfg)
+    obs = np.flatnonzero((m_t == 1) & (np.abs(s) <= OUTLIER_SUPPORT_TOL))
+    if len(obs) == 0:
+        state.t += 1
+        return bool(np.any(m_t == 1))
+    _ref_rls_row_updates(state, obs, y_t, w, weight=len(obs) / state.p)
+    if cfg.alpha_reg > 0:
+        _clip_row_norms(state.U, cfg.alpha_reg / max(state.t, 1))
+    return False
+
+
+def _ref_petrels_update(state, y_t, m_t):
+    w, _ = petrels_weights(state.U, y_t, m_t)
+    obs = np.flatnonzero(m_t == 1)
+    if len(obs) == 0:
+        state.t += 1
+        return
+    _ref_rls_row_updates(state, obs, y_t, w)
+
+
+def test_tracking_steps_match_reference_bit_for_bit():
+    rng = np.random.default_rng(40)
+    p, r = 12, 2
+    U_true = _basis(p, r, 41)
+    cfg = RobustConfig(rho=1.0, alpha_reg=0.3)
+    steps = []
+    for _ in range(60):
+        y = U_true @ rng.standard_normal(r) + 0.1 * rng.standard_normal(p)
+        y += (rng.random(p) < 0.1) * rng.choice([-8.0, 8.0], p)
+        steps.append((y, (rng.random(p) > 0.2).astype(int), cfg))
+    steps[5] = (steps[5][0], np.zeros(p, dtype=int), cfg)  # all masked
+    one_row = np.zeros(p, dtype=int)
+    one_row[3] = 1
+    steps[9] = (steps[9][0], one_row, cfg)
+    # A tiny rho leaves every observed row with a nonzero outlier.
+    steps[14] = (5.0 * rng.standard_normal(p), np.ones(p, dtype=int), RobustConfig(rho=1e-6))
+    # A constant w under strong forgetting drives the precisions to a reset.
+    constant = (U_true @ np.array([1.0, -0.5]), np.ones(p, dtype=int), RobustConfig(rho=1.0))
+    steps += [constant] * 60
+    lib_rob, ref_rob, lib_pl, ref_pl = (petrels_init(p, r, SeedSpec(42), 0.5) for _ in range(4))
+    all_flagged = 0
+    for y, m, step_cfg in steps:
+        robust_update(lib_rob, y, m, step_cfg)
+        all_flagged += _ref_robust_update(ref_rob, y, m, step_cfg)
+        petrels_update(lib_pl, y, m)
+        _ref_petrels_update(ref_pl, y, m)
+    assert all_flagged >= 1
+    for lib, ref in ((lib_rob, ref_rob), (lib_pl, ref_pl)):
+        assert ref.reinit_count > 0
+        assert np.array_equal(lib.U, ref.U)
+        assert np.array_equal(lib.row_prec, ref.row_prec)
+        assert (lib.t, lib.reinit_count) == (ref.t, ref.reinit_count)
+        assert ref.t == len(steps)
