@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .core import IncompleteMatrix, _parity_halves
 
@@ -351,19 +352,30 @@ def recover_tv(
 def _gmrf_objective(w, s_vec, alpha, iu, ju, p):
     """tr(L S) - log pdet(L) + alpha ||L||_1,off over edge weights w, with
     s_vec = _edge_form(S). pdet(L) = det(L + 1 1^T / p) for a connected graph;
-    returns the objective and the Cholesky factor of that matrix, or
+    returns the objective and the upper Cholesky factor of that matrix, or
     (inf, None) when it is not positive definite."""
-    try:
-        f = cho_factor(_laplacian(_adjacency(w, iu, ju, p)) + 1.0 / p)
-    except np.linalg.LinAlgError:
+    M = np.zeros((p, p))
+    M[iu, ju] = w
+    M[ju, iu] = w
+    deg = M.sum(axis=1)
+    if not np.isfinite(deg).all():
+        raise ValueError("edge weights must be finite")
+    np.negative(M, out=M)
+    M += 1.0 / p
+    M.flat[:: p + 1] = deg + 1.0 / p
+    # M is symmetric, so its transpose is the same matrix in Fortran order
+    # and LAPACK factors it in place
+    f, info = dpotrf(M.T, clean=0, overwrite_a=1)
+    if info > 0:
         return np.inf, None
-    logdet = 2.0 * np.sum(np.log(np.diag(f[0])))
+    logdet = 2.0 * np.sum(np.log(np.diag(f)))
     return float(w @ s_vec - logdet + 2.0 * alpha * w.sum()), f
 
 
 def _gmrf_gradient(f, s_vec, alpha, iu, ju):
     """Gradient over w of _gmrf_objective, from the factor it returned."""
-    return s_vec - _edge_form(cho_solve(f, np.eye(len(f[0]))), iu, ju) + 2.0 * alpha
+    inv, _info = dpotrs(f, np.eye(len(f)))
+    return s_vec - _edge_form(inv, iu, ju) + 2.0 * alpha
 
 
 def gmrf_learn(
