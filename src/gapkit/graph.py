@@ -9,13 +9,14 @@ routine alternates signal recovery with learning both graphs.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv, dpotrf, dpotri
 
 from .core import IncompleteMatrix, _parity_halves
 
@@ -243,9 +244,10 @@ def recover_tikhonov(
             except np.linalg.LinAlgError:
                 out[:, cols] = np.linalg.lstsq(H, rhs, rcond=None)[0]
         return out
-    # Huber fidelity by IRLS per column. The reweighted system is SPD unless
-    # beta = 0 and a graph component carries no data weight; Cholesky then
-    # fails and least squares picks the minimum-norm solution.
+    # Huber fidelity by IRLS per column, one LAPACK dposv (Cholesky factor and
+    # solve) per step. The reweighted system is SPD unless beta = 0 and a graph
+    # component carries no data weight; Cholesky then fails and least squares
+    # picks the minimum-norm solution.
     diag = np.diag_indices(Y.p)
     for j in range(Y.n):
         m = Y.mask[:, j].astype(float)
@@ -257,9 +259,8 @@ def recover_tikhonov(
             H = base.copy()
             H[diag] += omega
             rhs = omega * y_full[:, j]
-            try:
-                x_new = cho_solve(cho_factor(H, check_finite=False), rhs, check_finite=False)
-            except np.linalg.LinAlgError:
+            _f, x_new, info = dposv(H, rhs)
+            if info > 0:
                 x_new = np.linalg.lstsq(H, rhs, rcond=None)[0]
             if np.abs(x_new - x).max() < cfg.tol * (1.0 + np.abs(x).max()):
                 x = x_new
@@ -353,7 +354,7 @@ def _gmrf_objective(w, s_vec, alpha, iu, ju, p):
     """tr(L S) - log pdet(L) + alpha ||L||_1,off over edge weights w, with
     s_vec = _edge_form(S). pdet(L) = det(L + 1 1^T / p) for a connected graph;
     returns the objective and the upper Cholesky factor of that matrix, or
-    (inf, None) when it is not positive definite."""
+    (inf, None) when it is not numerically positive definite."""
     M = np.zeros((p, p))
     M[iu, ju] = w
     M[ju, iu] = w
@@ -368,31 +369,35 @@ def _gmrf_objective(w, s_vec, alpha, iu, ju, p):
     f, info = dpotrf(M.T, clean=0, overwrite_a=1)
     if info > 0:
         return np.inf, None
-    logdet = 2.0 * np.sum(np.log(np.diag(f)))
+    # A disconnected graph makes M singular, and rounding can leave its last
+    # pivot slightly positive instead of failing the factorization; a pivot
+    # at rounding level of the largest diagonal entry counts as singular.
+    pivots = np.diag(f)
+    if pivots.min() ** 2 <= p * p * np.finfo(float).eps * (deg.max() + 1.0 / p):
+        return np.inf, None
+    logdet = 2.0 * np.sum(np.log(pivots))
     return float(w @ s_vec - logdet + 2.0 * alpha * w.sum()), f
 
 
 def _gmrf_gradient(f, s_vec, alpha, iu, ju):
-    """Gradient over w of _gmrf_objective, from the factor it returned."""
-    inv, _info = dpotrs(f, np.eye(len(f)))
+    """Gradient over w of _gmrf_objective, from the factor it returned. The
+    inverse comes from dpotri, which fills only the upper triangle, the part
+    _edge_form reads."""
+    inv, _info = dpotri(f)
     return s_vec - _edge_form(inv, iu, ju) + 2.0 * alpha
 
 
-def gmrf_learn(
-    S: NDArray,
-    alpha: float,
-    w0: NDArray | None = None,
-    max_iter: int = 2000,
-    tol: float = 1e-10,
-) -> UndirectedGraph:
-    """Penalized Laplacian estimation from a sample second-moment matrix.
+# Nonmonotone line search of the Laplacian learner: a trial step is accepted
+# against the largest of the last _NM_MEMORY objective values, with
+# sufficient-decrease constant _NM_ARMIJO.
+_NM_MEMORY = 10
+_NM_ARMIJO = 1e-4
 
-    Minimizes tr(L S) - log pdet(L) + alpha * ||L||_1,off over the feasible
-    Laplacians by projected gradient on the nonnegative edge weights, with a
-    Barzilai-Borwein step and backtracking. A trial step is scored by its
-    Cholesky factor alone; the inverse behind the gradient is formed only at
-    the start point and at accepted steps.
-    """
+
+def _gmrf_solve(S, alpha, w0=None, max_iter=2000, tol=1e-10):
+    """gmrf_learn's solver. Returns the best edge weights over the pairs of
+    np.triu_indices(p, 1), the number of factorizations (objective
+    evaluations) and the number of accepted steps."""
     _check_alpha(alpha)
     S = np.asarray(S, dtype=float)
     if not np.isfinite(S).all():
@@ -406,36 +411,69 @@ def gmrf_learn(
     s_vec = _edge_form(S, iu, ju)
     w = np.full(len(iu), 1.0 / p) if w0 is None else np.maximum(w0, 0.0)
     obj, f = _gmrf_objective(w, s_vec, alpha, iu, ju, p)
+    factorizations, steps = 1, 0
     if f is None:  # infeasible warm start: restart from the complete graph
         w = np.full(len(iu), 1.0 / p)
         obj, f = _gmrf_objective(w, s_vec, alpha, iu, ju, p)
+        factorizations += 1
     grad = _gmrf_gradient(f, s_vec, alpha, iu, ju)
     step = 1.0 / max(np.abs(grad).max(), 1.0)
-    w_prev, g_prev = None, None
+    recent = deque([obj], maxlen=_NM_MEMORY)
+    best, best_obj = w, obj
     for _ in range(max_iter):
-        if w_prev is not None:
-            dw = w - w_prev
-            dg = grad - g_prev
-            denom = float(dw @ dg)
-            if denom > 1e-300:
-                step = max(min(float(dw @ dw) / denom, 1e6), 1e-12)
-        accepted = False
+        d = np.maximum(w - step * grad, 0.0) - w
+        bound, slope = max(recent), _NM_ARMIJO * float(grad @ d)
+        t = 1.0
         for _bt in range(60):
-            w_new = np.maximum(w - step * grad, 0.0)
+            w_new = w + t * d
             obj_new, f_new = _gmrf_objective(w_new, s_vec, alpha, iu, ju, p)
-            d = w_new - w
-            if obj_new <= obj + float(grad @ d) + 0.5 / max(step, 1e-300) * float(d @ d):
-                accepted = True
+            factorizations += 1
+            if obj_new <= bound + t * slope:
                 break
-            step *= 0.5
-        if not accepted:
+            t *= 0.5
+        else:
             break
-        w_prev, g_prev = w, grad
-        move = np.abs(w_new - w).max()
-        w, obj, grad = w_new, obj_new, _gmrf_gradient(f_new, s_vec, alpha, iu, ju)
+        steps += 1
+        grad_new = _gmrf_gradient(f_new, s_vec, alpha, iu, ju)
+        dw, dg = w_new - w, grad_new - grad
+        denom = float(dw @ dg)
+        if denom > 1e-300:  # Barzilai-Borwein step, clipped
+            step = max(min(float(dw @ dw) / denom, 1e6), 1e-12)
+        move = np.abs(dw).max()
+        w, grad = w_new, grad_new
+        recent.append(obj_new)
+        if obj_new < best_obj:
+            best, best_obj = w, obj_new
         if move < tol * (1.0 + np.abs(w).max()):
             break
-    return UndirectedGraph(_adjacency(w, iu, ju, p))
+    return best, factorizations, steps
+
+
+def gmrf_learn(
+    S: NDArray,
+    alpha: float,
+    w0: NDArray | None = None,
+    max_iter: int = 2000,
+    tol: float = 1e-10,
+) -> UndirectedGraph:
+    """Penalized Laplacian estimation from a sample second-moment matrix.
+
+    Minimizes tr(L S) - log pdet(L) + alpha * ||L||_1,off over the feasible
+    Laplacians by the nonmonotone spectral projected gradient (SPG2) of
+    Birgin, Martinez & Raydan (SIAM J. Optim. 2000) on the nonnegative edge
+    weights w. Each iteration moves along d = P(w - lam g) - w, with P the
+    projection onto w >= 0 and lam the clipped Barzilai-Borwein step, halving
+    t until f(w + t d) <= max(last 10 f) + 1e-4 t g^T d. A trial is scored by
+    its Cholesky factor alone; the inverse behind the gradient is formed only
+    at the start point and at accepted steps. The iteration stops when an
+    accepted move changes no weight by tol * (1 + max w) or more, after
+    max_iter steps, or when 60 halvings find no acceptable trial; the best
+    iterate seen is returned, so the objective never ends above its value at
+    a feasible warm start w0.
+    """
+    w, _factorizations, _steps = _gmrf_solve(S, alpha, w0, max_iter, tol)
+    p = len(S)
+    return UndirectedGraph(_adjacency(w, *np.triu_indices(p, k=1), p))
 
 
 _CD_MAX_SWEEPS = 10_000
@@ -496,10 +534,16 @@ def var_learn(X: NDArray, alpha: float) -> DirectedGraph:
 
 @dataclass
 class StsrglResult:
+    """The joint fit. gmrf_factorizations and gmrf_steps hold one count per
+    Laplacian-learner call (iters + 1 of them): its Cholesky factorizations
+    and its accepted steps."""
+
     X: NDArray
     A: DirectedGraph
     L: UndirectedGraph
     objective_trace: NDArray
+    gmrf_factorizations: NDArray
+    gmrf_steps: NDArray
 
 
 def _stsrgl_objective(X, A, w, Yz, mask, sigma_n2, alpha_a, alpha_l):
@@ -582,11 +626,11 @@ def stsrgl_fit(
     halves = _parity_halves(np.arange(n))
 
     E = _innovations(X, A)
-    g = gmrf_learn(E @ E.T / n, alpha_l, max_iter=gmrf_iters)
-    w = g.W[iu, ju]
+    w, *counts = _gmrf_solve(E @ E.T / n, alpha_l, max_iter=gmrf_iters)
+    learner = [counts]
     trace = [_stsrgl_objective(X, A, w, Yz, Y.mask, sigma_n2, alpha_a, alpha_l)]
     for _cycle in range(iters):
-        L = g.L
+        L = _laplacian(_adjacency(w, iu, ju, p))
         # (a) signal given the graphs: red-black sweeps over the columns
         for _sweep in range(x_sweeps):
             for cols in halves:
@@ -605,12 +649,15 @@ def stsrgl_fit(
             A = A_new
         # (c) Laplacian on the innovation second moments (warm start)
         E = _innovations(X, A)
-        g = gmrf_learn(E @ E.T / n, alpha_l, w0=w, max_iter=gmrf_iters)
-        w = g.W[iu, ju]
+        w, *counts = _gmrf_solve(E @ E.T / n, alpha_l, w0=w, max_iter=gmrf_iters)
+        learner.append(counts)
         obj = _stsrgl_objective(X, A, w, Yz, Y.mask, sigma_n2, alpha_a, alpha_l)
         if obj > trace[-1] + 1e-8 * (1.0 + abs(trace[-1])):
             raise RuntimeError(
                 f"joint objective increased ({trace[-1]:.6g} -> {obj:.6g}); solver bug"
             )
         trace.append(obj)
-    return StsrglResult(X, DirectedGraph(A), g, np.array(trace))
+    factorizations, steps = np.array(learner).T
+    return StsrglResult(
+        X, DirectedGraph(A), UndirectedGraph(_adjacency(w, iu, ju, p)), np.array(trace), factorizations, steps
+    )

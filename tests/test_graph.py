@@ -373,6 +373,82 @@ def test_gmrf_rejects_non_finite_moment(bad):
         gmrf_learn(np.array([[1.0, 0.5], [0.5, bad]]), 0.1)
 
 
+def _random_moment(p, seed):
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((p, 3 * p))
+    return Z @ Z.T / Z.shape[1], rng
+
+
+def _gmrf_dense(S, alpha, w):
+    """Objective and gradient over w from a dense slogdet and inverse of
+    L + 1 1^T / p, independent of the Cholesky kernel."""
+    p = len(S)
+    iu, ju = np.triu_indices(p, k=1)
+    W = np.zeros((p, p))
+    W[iu, ju] = w
+    W += W.T
+    M = np.diag(W.sum(axis=1)) - W + 1.0 / p
+    s_vec = _edge_form(S, iu, ju)
+    sign, logdet = np.linalg.slogdet(M)
+    assert sign > 0
+    grad = s_vec - _edge_form(np.linalg.inv(M), iu, ju) + 2.0 * alpha
+    return w @ s_vec - logdet + 2.0 * alpha * w.sum(), grad
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.integers(2, 8), alpha=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_gmrf_learn_meets_kkt_on_random_moments(p, alpha, seed):
+    # stationarity on w >= 0: each weight is zero with a nonnegative
+    # gradient entry or positive with a zero one
+    S, _rng = _random_moment(p, seed)
+    iu, ju = np.triu_indices(p, k=1)
+    w = gmrf_learn(S, alpha).W[iu, ju]
+    _obj, grad = _gmrf_dense(S, alpha, w)
+    assert np.abs(np.minimum(w, grad)).max() <= 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.integers(2, 8), alpha=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+       max_iter=st.integers(1, 50))
+def test_gmrf_learn_never_ends_above_a_feasible_warm_start(p, alpha, seed, max_iter):
+    # the nonmonotone search may climb between iterations; the best iterate
+    # it returns may not
+    S, rng = _random_moment(p, seed)
+    iu, ju = np.triu_indices(p, k=1)
+    w0 = rng.uniform(0.05, 2.0, len(iu))
+    w = gmrf_learn(S, alpha, w0=w0, max_iter=max_iter).W[iu, ju]
+    start, _ = _gmrf_dense(S, alpha, w0)
+    end, _ = _gmrf_dense(S, alpha, w)
+    assert end <= start
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.integers(2, 8), alpha=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_gmrf_objective_matches_slogdet(p, alpha, seed):
+    S, rng = _random_moment(p, seed)
+    iu, ju = np.triu_indices(p, k=1)
+    w = rng.uniform(0.0, 3.0, len(iu)) * (rng.random(len(iu)) < 0.7)
+    w[ju == iu + 1] += 0.1  # a path keeps the graph connected
+    obj, f = _gmrf_objective(w, _edge_form(S, iu, ju), alpha, iu, ju, p)
+    dense, _ = _gmrf_dense(S, alpha, w)
+    assert f is not None
+    assert abs(obj - dense) <= 1e-12 * abs(dense)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_gmrf_objective_rejects_disconnected_weights(p, seed):
+    # no edge joins the two node groups, so L + 1 1^T / p is singular; about
+    # half of such draws leave a rounding-level positive last pivot
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(p, k=1)
+    group = np.zeros(p, dtype=int)
+    group[rng.permutation(p)[: rng.integers(1, p)]] = 1
+    w = 10.0 ** rng.uniform(-3.0, 3.0, len(iu)) * (group[iu] == group[ju])
+    s_vec = rng.uniform(0.0, 2.0, len(iu))
+    assert _gmrf_objective(w, s_vec, 0.1, iu, ju, p) == (np.inf, None)
+
+
 def test_var_noiseless_recovery():
     # a single noiseless trajectory from a generic start excites all of R^p
     # over the first p+ steps (Krylov span), so alpha = 0 recovers A exactly
@@ -537,6 +613,30 @@ def test_stsrgl_objective_never_increases_on_random_inputs(p, n, alpha_a, alpha_
     assert np.all(np.diff(trace) <= 1e-8 * (1 + np.abs(trace[:-1])))
 
 
+def test_stsrgl_reports_learner_counts(monkeypatch):
+    # every learner factorization is one _gmrf_objective call and every
+    # accepted step one _gmrf_gradient call past the start point's; the
+    # joint objective adds one _gmrf_objective call per trace entry
+    calls = {"objective": 0, "gradient": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(graph, "_gmrf_objective", counting("objective", _gmrf_objective))
+    monkeypatch.setattr(graph, "_gmrf_gradient", counting("gradient", _gmrf_gradient))
+    iters = 3
+    _W, Y = _gappy_field(40)
+    res = stsrgl_fit(Y, iters=iters, gmrf_iters=60)
+    assert len(res.gmrf_factorizations) == len(res.gmrf_steps) == iters + 1
+    assert np.all(res.gmrf_steps >= 1) and np.all(res.gmrf_factorizations > res.gmrf_steps)
+    assert calls["objective"] == res.gmrf_factorizations.sum() + len(res.objective_trace)
+    assert calls["gradient"] == res.gmrf_steps.sum() + iters + 1
+
+
 def _signal_problem(p, n, seed):
     """Random SPD signal step: L SPD, A of spectral norm 0.6, data weights
     Dw >= 0 with B0 = Dw * y."""
@@ -677,6 +777,54 @@ def test_huber_recovery_matches_lstsq_reference(cfg):
     vals = Y.values + np.where(rng.random(Y.shape) < 0.1, 3.0, 0.0)  # outliers
     Y = IncompleteMatrix(np.nan_to_num(vals), Y.mask)
     assert_allclose(recover_tikhonov(Y, W, cfg), _huber_irls_lstsq(Y, W, cfg), rtol=0, atol=1e-10)
+
+
+def _huber_irls_cho(Y, W, cfg):
+    """Reference IRLS with the recovery's own arithmetic on scipy's
+    cho_factor / cho_solve and the lstsq fallback."""
+    base = 2.0 * cfg.alpha * (np.diag(W.sum(axis=1)) - W) + 2.0 * cfg.beta * np.eye(Y.p)
+    y_full = Y.filled(0.0)
+    out = Y.values.copy()
+    for j in range(Y.n):
+        m = Y.mask[:, j].astype(float)
+        x = y_full[:, j].copy()
+        for _ in range(cfg.max_iter):
+            a = np.abs(y_full[:, j] - x)
+            omega = m * np.where(a <= cfg.delta, 1.0, cfg.delta / np.maximum(a, 1e-300))
+            H = base.copy()
+            H[np.diag_indices(Y.p)] += omega
+            rhs = omega * y_full[:, j]
+            try:
+                x_new = cho_solve(cho_factor(H, check_finite=False), rhs, check_finite=False)
+            except np.linalg.LinAlgError:
+                x_new = np.linalg.lstsq(H, rhs, rcond=None)[0]
+            done = np.abs(x_new - x).max() < cfg.tol * (1.0 + np.abs(x).max())
+            x = x_new
+            if done:
+                break
+        out[:, j] = x
+    return out
+
+
+@pytest.mark.parametrize("side", [3, 10])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        RecoveryConfig(fidelity=FidelityKind.HUBER, alpha=0.5, delta=0.05),
+        RecoveryConfig(fidelity=FidelityKind.HUBER, alpha=0.2, beta=0.1, delta=0.1),
+        RecoveryConfig(fidelity=FidelityKind.HUBER, alpha=0.0, beta=0.0, delta=0.1),
+    ],
+    ids=["alpha", "alpha_beta", "unregularized"],
+)
+def test_huber_recovery_matches_cholesky_formula_bit_for_bit(cfg, side):
+    # one dposv per step is potrf + potrs, the same LAPACK calls as
+    # cho_factor + cho_solve; an isolated node takes the lstsq fallback
+    W, Y = _gappy_field(12, seed=20, side=side)
+    W[4] = W[:, 4] = 0.0
+    rng = np.random.default_rng(21)
+    vals = Y.values + np.where(rng.random(Y.shape) < 0.1, 3.0, 0.0)
+    Y = IncompleteMatrix(np.nan_to_num(vals), Y.mask)
+    assert np.array_equal(recover_tikhonov(Y, W, cfg), _huber_irls_cho(Y, W, cfg))
 
 
 @pytest.mark.parametrize(
