@@ -387,9 +387,8 @@ def _gmrf_gradient(f, s_vec, alpha, iu, ju):
     return s_vec - _edge_form(inv, iu, ju) + 2.0 * alpha
 
 
-# Nonmonotone line search of the Laplacian learner: a trial step is accepted
-# against the largest of the last _NM_MEMORY objective values, with
-# sufficient-decrease constant _NM_ARMIJO.
+# gmrf_learn's nonmonotone line search: how many objective values it
+# remembers and its sufficient-decrease constant
 _NM_MEMORY = 10
 _NM_ARMIJO = 1e-4
 
@@ -439,12 +438,11 @@ def _gmrf_solve(S, alpha, w0=None, max_iter=2000, tol=1e-10):
         denom = float(dw @ dg)
         if denom > 1e-300:  # Barzilai-Borwein step, clipped
             step = max(min(float(dw @ dw) / denom, 1e6), 1e-12)
-        move = np.abs(dw).max()
         w, grad = w_new, grad_new
         recent.append(obj_new)
         if obj_new < best_obj:
             best, best_obj = w, obj_new
-        if move < tol * (1.0 + np.abs(w).max()):
+        if np.abs(dw).max() < tol * (1.0 + np.abs(w).max()):
             break
     return best, factorizations, steps
 
@@ -471,7 +469,7 @@ def gmrf_learn(
     iterate seen is returned, so the objective never ends above its value at
     a feasible warm start w0.
     """
-    w, _factorizations, _steps = _gmrf_solve(S, alpha, w0, max_iter, tol)
+    w = _gmrf_solve(S, alpha, w0, max_iter, tol)[0]
     p = len(S)
     return UndirectedGraph(_adjacency(w, *np.triu_indices(p, k=1), p))
 

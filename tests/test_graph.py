@@ -415,10 +415,11 @@ def test_gmrf_learn_never_ends_above_a_feasible_warm_start(p, alpha, seed, max_i
     # it returns may not
     S, rng = _random_moment(p, seed)
     iu, ju = np.triu_indices(p, k=1)
+    s_vec = _edge_form(S, iu, ju)
     w0 = rng.uniform(0.05, 2.0, len(iu))
     w = gmrf_learn(S, alpha, w0=w0, max_iter=max_iter).W[iu, ju]
-    start, _ = _gmrf_dense(S, alpha, w0)
-    end, _ = _gmrf_dense(S, alpha, w)
+    start, _ = _gmrf_objective(w0, s_vec, alpha, iu, ju, p)
+    end, _ = _gmrf_objective(w, s_vec, alpha, iu, ju, p)
     assert end <= start
 
 
@@ -432,7 +433,7 @@ def test_gmrf_objective_matches_slogdet(p, alpha, seed):
     obj, f = _gmrf_objective(w, _edge_form(S, iu, ju), alpha, iu, ju, p)
     dense, _ = _gmrf_dense(S, alpha, w)
     assert f is not None
-    assert abs(obj - dense) <= 1e-12 * abs(dense)
+    assert abs(obj - dense) <= 1e-12 * max(abs(dense), 1.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -446,7 +447,15 @@ def test_gmrf_objective_rejects_disconnected_weights(p, seed):
     group[rng.permutation(p)[: rng.integers(1, p)]] = 1
     w = 10.0 ** rng.uniform(-3.0, 3.0, len(iu)) * (group[iu] == group[ju])
     s_vec = rng.uniform(0.0, 2.0, len(iu))
-    assert _gmrf_objective(w, s_vec, 0.1, iu, ju, p) == (np.inf, None)
+    obj, f = _gmrf_objective(w, s_vec, 0.1, iu, ju, p)
+    assert obj == np.inf and f is None
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_gmrf_objective_rejects_non_finite_weights(bad):
+    iu, ju = np.triu_indices(3, k=1)
+    with pytest.raises(ValueError):
+        _gmrf_objective(np.array([1.0, bad, 1.0]), np.ones(3), 0.1, iu, ju, 3)
 
 
 def test_var_noiseless_recovery():
