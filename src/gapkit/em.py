@@ -16,7 +16,6 @@ from enum import Enum
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import gammaln, kv
 
 from .core import ColumnSplit, IncompleteMatrix, SeedSpec
 
@@ -117,6 +116,16 @@ class EmConfig:
             return 1.0
         return 1.0 / (k - self.saem_burn_in)
 
+    def saem_smooth(self, k: int, s, c):
+        """SAEM running statistic s + gamma_k (c - s) after the fresh one c,
+        entry by entry for a tuple; c itself while there is no s yet."""
+        if s is None:
+            return c
+        gamma = self.saem_gamma(k)
+        if isinstance(c, tuple):
+            return tuple(si + gamma * (ci - si) for si, ci in zip(s, c))
+        return s + gamma * (c - s)
+
 
 @dataclass
 class EmFit:
@@ -155,6 +164,8 @@ class DensityGenerator:
     b: float = 1.0
 
     def __call__(self, r, dim: int):
+        from scipy.special import gammaln, kv
+
         r = np.asarray(r, dtype=float)
         if (r < 0).any():
             raise ValueError("squared radius r must be nonnegative")
@@ -259,6 +270,8 @@ def _gaussian_loglik(cond: _Conditioned) -> float:
 def _student_loglik(cond: _Conditioned, nu):
     """Observed-marginal Student-t log likelihood at a scalar nu, or at each
     entry of a vector of them."""
+    from scipy.special import gammaln
+
     nu = np.asarray(nu, dtype=float)[..., None]
     count = np.bincount(cond.k)  # columns per observed count k
     k = np.arange(len(count))
@@ -418,10 +431,7 @@ def _em_loop(params, cfg: EmConfig, estep, m_step) -> EmFit:
             draws = [stats(rng) for _ in range(n_draws)]
             cur = tuple(sum(s) / len(draws) for s in zip(*draws))
         if cfg.e_variant is EVariant.SAEM:
-            if smooth is not None:
-                gamma = cfg.saem_gamma(it)
-                cur = tuple(s + gamma * (c - s) for s, c in zip(smooth, cur))
-            smooth = cur
+            smooth = cur = cfg.saem_smooth(it, smooth, cur)
         params = m_step(cur, params)
         loglik, stats = estep(params)
         trace.append(loglik)

@@ -12,17 +12,26 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dposv, dpotrf, dpotri
 
 from .core import IncompleteMatrix, _parity_halves
 
 # A batched step holds at most this many float64 entries (512 KB) in one stack
 # of p x p matrices, so its memory does not grow with the column count.
 _STACK_ENTRIES = 2**16
+
+
+@cache
+def _lapack():
+    """scipy's LAPACK wrappers, imported on first use so that importing gapkit
+    does not load scipy, and cached: the GMRF kernels run thousands of times
+    per joint fit."""
+    from scipy.linalg import lapack
+
+    return lapack
 
 
 def _laplacian(W: NDArray) -> NDArray:
@@ -219,6 +228,8 @@ def recover_tikhonov(
     L = _laplacian(W)
     out = Y.values.copy()
     if cfg.fidelity is FidelityKind.EXACT:
+        from scipy.linalg import cho_factor, cho_solve
+
         for obs, mis, cols in Y.pattern_groups:
             if len(mis) == 0:
                 continue
@@ -248,6 +259,7 @@ def recover_tikhonov(
     # solve) per step. The reweighted system is SPD unless beta = 0 and a graph
     # component carries no data weight; Cholesky then fails and least squares
     # picks the minimum-norm solution.
+    dposv = _lapack().dposv
     diag = np.diag_indices(Y.p)
     for j in range(Y.n):
         m = Y.mask[:, j].astype(float)
@@ -288,6 +300,8 @@ def recover_tv(
     all its columns in one batched product. Distinct patterns share a chunk;
     a pattern repeated over many columns fills chunks of its own.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     _check_alpha(alpha)
     W = W.W if isinstance(W, UndirectedGraph) else np.asarray(W, dtype=float)
     p = W.shape[0]
@@ -366,7 +380,7 @@ def _gmrf_objective(w, s_vec, alpha, iu, ju, p):
     M.flat[:: p + 1] = deg + 1.0 / p
     # M is symmetric, so its transpose is the same matrix in Fortran order
     # and LAPACK factors it in place
-    f, info = dpotrf(M.T, clean=0, overwrite_a=1)
+    f, info = _lapack().dpotrf(M.T, clean=0, overwrite_a=1)
     if info > 0:
         return np.inf, None
     # A disconnected graph makes M singular, and rounding can leave its last
@@ -383,7 +397,7 @@ def _gmrf_gradient(f, s_vec, alpha, iu, ju):
     """Gradient over w of _gmrf_objective, from the factor it returned. The
     inverse comes from dpotri, which fills only the upper triangle, the part
     _edge_form reads."""
-    inv, _info = dpotri(f)
+    inv, _info = _lapack().dpotri(f)
     return s_vec - _edge_form(inv, iu, ju) + 2.0 * alpha
 
 

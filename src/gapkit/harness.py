@@ -21,6 +21,7 @@ from .completion import hard_impute, soft_impute
 from .core import IncompleteMatrix, SeedSpec, format_float, read_matrix_csv, rmse_missing
 from .imputation import ImputerKind, ImputerSpec, run_imputer
 from .mechanisms import MechanismKind, MechanismSpec, gen_mask
+from .timeseries import _initial_fill
 
 RESULT_HEADER = ("replicate", "metric", "value")
 
@@ -162,13 +163,12 @@ def _locf_fill(X: IncompleteMatrix):
 
 def _linear_fill(X: IncompleteMatrix):
     """Row-wise linear interpolation over the column index (flat at the ends)."""
-    out = X.values.copy()
+    out = np.empty_like(X.values)
     for i in range(X.p):
-        obs = np.flatnonzero(X.mask[i] == 1)
-        if len(obs) == 0:
+        observed = X.mask[i] == 1
+        if not observed.any():
             raise ValueError(f"fully missing row {i}")
-        holes = np.flatnonzero(X.mask[i] == 0)
-        out[i, holes] = np.interp(holes, obs, X.values[i, obs])
+        out[i] = _initial_fill(X.values[i], observed)
     return out
 
 

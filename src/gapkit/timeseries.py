@@ -14,16 +14,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import gammaln
 
 from .core import SeedSpec, _parity_halves
 from .em import NU_GRID, EmConfig
 
-# log Gamma((nu + 1)/2) - log Gamma(nu/2) on the grid, for the t log density
-_NU_LOG_NORM = gammaln((NU_GRID + 1.0) / 2.0) - gammaln(NU_GRID / 2.0)
+
+@cache
+def _nu_log_norm():
+    """log Gamma((nu + 1)/2) - log Gamma(nu/2) on the grid, for the t log
+    density; computed on first use, so that importing gapkit skips scipy."""
+    from scipy.special import gammaln
+
+    return gammaln((NU_GRID + 1.0) / 2.0) - gammaln(NU_GRID / 2.0)
 
 
 @dataclass
@@ -61,7 +67,7 @@ class Ar1SaemFit:
 def _t_loglik_grid(e, sigma):
     """Student-t log likelihood of the innovations e, one value per NU_GRID
     entry."""
-    log_norm = _NU_LOG_NORM - 0.5 * np.log(NU_GRID * math.pi * sigma**2)
+    log_norm = _nu_log_norm() - 0.5 * np.log(NU_GRID * math.pi * sigma**2)
     q = (e / sigma) ** 2 / NU_GRID[:, None]
     np.log1p(q, out=q)  # in place: one (grid, n-1) buffer, not two
     return len(e) * log_norm - 0.5 * (NU_GRID + 1.0) * q.sum(axis=1)
@@ -69,6 +75,8 @@ def _t_loglik_grid(e, sigma):
 
 def _ols_ar1(x):
     """Least-squares (mu, a, sigma) from consecutive finite pairs."""
+    if np.isfinite(x).sum() < 2:
+        raise ValueError("need at least two observed points")
     pairs = np.isfinite(x[:-1]) & np.isfinite(x[1:])
     if pairs.sum() < 3:
         m = float(np.nanmean(x))
@@ -130,8 +138,7 @@ def ar1t_fit_saem(
                 float(tau @ (x[1:] ** 2)),
             ]
         )
-        gamma_k = cfg.saem_gamma(it)
-        stats = cur if stats is None else stats + gamma_k * (cur - stats)
+        stats = cfg.saem_smooth(it, stats, cur)
         s_t, s_z, s_zz, s_y, s_zy, s_yy = stats
         Szz = np.array([[s_t, s_z], [s_z, s_zz]])
         Szy = np.array([s_y, s_zy])
@@ -141,11 +148,7 @@ def ar1t_fit_saem(
         sigma = math.sqrt(max(float(rss) / (n - 1), 1e-12))
         if estimate_nu:
             ll = _t_loglik_grid(x[1:] - mu - a * x[:-1], sigma)
-            ll_grid_smooth = (
-                ll
-                if ll_grid_smooth is None
-                else ll_grid_smooth + gamma_k * (ll - ll_grid_smooth)
-            )
+            ll_grid_smooth = cfg.saem_smooth(it, ll_grid_smooth, ll)
             nu = float(NU_GRID[int(np.argmax(ll_grid_smooth))])
         chains["mu"][it - 1] = mu
         chains["a"][it - 1] = a

@@ -519,6 +519,34 @@ def test_ts_fit_rejects_bad_options(runner, tmp_path, extra, message):
     assert message in res.output
 
 
+def test_ts_fit_fixed_nu_on_blank_series_exit_2(runner, tmp_path):
+    series = tmp_path / "ts.csv"
+    series.write_text("\n\n\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = runner.invoke(main, ["ts-fit", "--in", str(series), "--nu", "5"])
+    assert res.exit_code == 2, res.output
+    assert res.output.strip() == "config error: need at least two observed points"
+
+
+def test_import_and_version_load_no_scipy():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys, gapkit, gapkit.cli\n"
+        "try:\n"
+        "    gapkit.cli.main(['--version'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("command", ["ts-fit", "ts-impute"])
 @pytest.mark.parametrize("bad", ["abc", "inf"])
 def test_ts_commands_reject_malformed_series(runner, tmp_path, command, bad):

@@ -238,15 +238,6 @@ def test_unknown_metric_raises():
         run_experiment(cfg)
 
 
-def test_import_does_not_load_scipy_stats():
-    import subprocess
-    import sys
-
-    code = "import sys, gapkit.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
-
-
 def test_json_config_of_wrong_types_is_config_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"dataset": 1, "method": []}', encoding="utf-8")
