@@ -889,7 +889,7 @@ def test_recovery_config_rejects_non_finite(field):
     ids=["huber_zero", "huber_negative", "fractional", "recover_tv_zero"],
 )
 def test_iteration_counts_below_one_are_rejected(make):
-    # zero iterations used to return zeros at the missing entries
+    # a count below one would run no iteration and return the start unchanged
     with pytest.raises(ValueError, match="max_iter must be an integer >= 1"):
         make()
 
