@@ -29,7 +29,6 @@ from .em import (
     EVariant,
     GaussianParams,
     GeneratorKind,
-    MVariant,
     StudentTParams,
     conditional_gaussian,
     em_gaussian_fit,

@@ -27,7 +27,7 @@ from .core import (
     write_mask_csv,
     write_matrix_csv,
 )
-from .em import EmConfig, EVariant, MVariant, em_gaussian_fit, em_student_fit
+from .em import EmConfig, EVariant, em_gaussian_fit, em_student_fit
 from .graph import (
     RecoveryConfig,
     FidelityKind,
@@ -190,27 +190,23 @@ def _numbered(path, d):
 @click.option("--mask", "mask_path", type=click.Path(exists=True), default=None)
 @click.option("--model", type=click.Choice(["gaussian", "student"]), default="gaussian")
 @click.option("--evariant", type=click.Choice([v.value for v in EVariant]), default="exact")
-@click.option("--mvariant", type=click.Choice([v.value for v in MVariant]), default="full")
 @click.option("--structure", default=None, help="factor:r or floor:sigma")
 @click.option("--estimate-nu", is_flag=True)
 @click.option("--tol", type=float, default=1e-8)
 @click.option("--maxiter", type=int, default=500)
 @click.option("--seed", type=int, default=0)
 @click.option("--out", type=click.Path(), default=None)
-def estimate_cmd(in_path, mask_path, model, evariant, mvariant, structure, estimate_nu, tol, maxiter, seed, out):
+@click.pass_context
+def estimate_cmd(ctx, in_path, mask_path, model, evariant, structure, estimate_nu, tol, maxiter, seed, out):
     """EM parameter estimation; emits JSON with mu, sigma, nu and the trace."""
     if structure and model == "student":
         raise ValueError("--structure applies to the gaussian model only")
     if estimate_nu and model != "student":
         raise ValueError("--estimate-nu needs --model student")
+    if evariant == "exact":
+        _only_under(ctx, ("seed",), "--evariant sem, mcem or saem")
     X = read_matrix_csv(in_path, mask_path)
-    cfg = EmConfig(
-        e_variant=EVariant(evariant),
-        m_variant=MVariant(mvariant),
-        tol=tol,
-        max_iter=maxiter,
-        seed=SeedSpec(seed),
-    )
+    cfg = EmConfig(e_variant=EVariant(evariant), tol=tol, max_iter=maxiter, seed=SeedSpec(seed))
     if structure:
         fit = em_structured_fit(X, _parse_structure(structure), cfg)
     elif model == "gaussian":
@@ -382,7 +378,7 @@ def _write_edge_csv(path, pairs):
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
 @click.option("--smoothness", "smooth", type=click.Choice(["tikhonov", "tv"]), default="tikhonov")
 @click.option("--fidelity", type=click.Choice([v.value for v in FidelityKind]), default="exact")
-@click.option("--alpha", type=float, default=1.0)
+@click.option("--alpha", type=float, default=1.0, help="smoothness weight (squared or huber fidelity)")
 @click.option("--beta", type=float, default=0.0, help="Frobenius weight (squared or huber fidelity)")
 @click.option("--out", type=click.Path(), required=True)
 @click.pass_context
@@ -391,11 +387,11 @@ def graph_recover_cmd(ctx, in_path, mask_path, graph_path, smooth, fidelity, alp
     if smooth == "tv":
         _only_under(ctx, ("fidelity",), "--smoothness tikhonov")
     if smooth == "tv" or fidelity == "exact":
-        _only_under(ctx, ("beta",), "--smoothness tikhonov with --fidelity squared or huber")
+        _only_under(ctx, ("alpha", "beta"), "--smoothness tikhonov with --fidelity squared or huber")
     Y = read_matrix_csv(in_path, mask_path)
     G = _read_edge_csv(graph_path, Y.p)
     if smooth == "tv":
-        X = recover_tv(Y, G, alpha=alpha)
+        X = recover_tv(Y, G)
     else:
         cfg = RecoveryConfig(fidelity=FidelityKind(fidelity), alpha=alpha, beta=beta)
         X = recover_tikhonov(Y, G, cfg)

@@ -2,10 +2,10 @@
 
 The E-step can be exact (closed-form conditional moments), or stochastic
 (single draw, Monte Carlo averaging over several draws, or stochastic
-approximation with a decaying step sequence). The M-step can be the full
-closed-form maximizer, a conditional-maximization sweep, a variant that
-pushes part of the parameter through the observed likelihood, or a damped
-generalized step that only guarantees surrogate ascent.
+approximation with a decaying step sequence). The M-step is the closed-form
+maximizer; the Student-t fit can add an observed-likelihood step for nu
+(ECME). map_m_step is the generalized-EM step for a Q without a closed-form
+maximizer: it only guarantees ascent.
 """
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ from numpy.typing import NDArray
 from .core import ColumnSplit, IncompleteMatrix, SeedSpec
 
 LOG_2PI = math.log(2.0 * math.pi)
-_GEM_INNER_STEPS = 3  # damped half-steps per GEM M-step
 
 
 @dataclass
@@ -77,25 +76,16 @@ class EVariant(Enum):
     SAEM = "saem"
 
 
-class MVariant(Enum):
-    """Full M-step or damped GEM steps. ECM's conditional maximizations are
-    exact for the Gaussian Q, so ECM is the full step; ECME's
-    observed-likelihood nu step is em_student_fit's estimate_nu."""
-
-    FULL = "full"
-    GEM = "gem"
-
-
 @dataclass
 class EmConfig:
-    """E-variant x M-variant plus stopping rule for the EM drivers.
+    """E-variant plus stopping rule for the EM drivers (whose M-steps are
+    closed form).
 
     The SAEM schedule is full weight (gamma = 1) for `saem_burn_in`
     iterations, then 1/k; it satisfies sum gamma = inf, sum gamma^2 < inf.
     """
 
     e_variant: EVariant = EVariant.EXACT
-    m_variant: MVariant = MVariant.FULL
     tol: float = 1e-8
     max_iter: int = 500
     seed: SeedSpec = field(default_factory=lambda: SeedSpec(0))
@@ -229,7 +219,8 @@ def _condition(mu, sigma, obs, mis, group, x_o):
     z = np.einsum("cij,cj->ci", W[group, :, :k], x_o - mu[obs][group])
     logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
     mu_c = mu[mis][group] + np.einsum("cij,ci->cj", V[group], z)
-    return np.einsum("ci,ci->c", z, z), logdet, mu_c, sigma[mis[:, :, None], mis[:, None, :]] - V.mT @ V
+    sigma_c = sigma[mis[:, :, None], mis[:, None, :]] - np.swapaxes(V, 1, 2) @ V
+    return np.einsum("ci,ci->c", z, z), logdet, mu_c, sigma_c
 
 
 _Conditioned = namedtuple("_Conditioned", "k delta logdet mean covs")
@@ -348,47 +339,6 @@ def _spd_floor(sigma, rel=1e-8):
     return (V * w) @ V.T
 
 
-def _q_gaussian(mu, sigma, S1, S2, n):
-    """Expected complete-data log likelihood at (mu, sigma) given stats."""
-    p = len(mu)
-    A = S2 - np.outer(S1, mu) - np.outer(mu, S1) + n * np.outer(mu, mu)
-    sign, logdet = np.linalg.slogdet(sigma)
-    if sign <= 0:
-        return -np.inf
-    return -0.5 * (n * p * LOG_2PI + n * logdet + np.trace(np.linalg.solve(sigma, A)))
-
-
-def _m_step_gaussian(S1, S2, n, cfg, prev: GaussianParams):
-    """Dispatch the configured M-variant on Gaussian sufficient statistics.
-
-    GEM takes damped steps and verifies the surrogate never decreases,
-    falling back to the full maximizer when a damped step would.
-    """
-    mu_star = S1 / n
-    sigma_full = _spd_floor(S2 / n - np.outer(mu_star, mu_star))
-    if cfg.m_variant is MVariant.FULL:
-        return mu_star, sigma_full
-    # GEM: damped moves toward the maximizer, surrogate-ascent checked.
-    mu, sigma = prev.mu.copy(), prev.sigma.copy()
-    q_cur = _q_gaussian(mu, sigma, S1, S2, n)
-    for _ in range(_GEM_INNER_STEPS):
-        mu_new = mu + 0.5 * (mu_star - mu)
-        sigma_target = _spd_floor(
-            S2 / n
-            - np.outer(S1 / n, mu_new)
-            - np.outer(mu_new, S1 / n)
-            + np.outer(mu_new, mu_new)
-        )
-        sigma_new = sigma + 0.5 * (sigma_target - sigma)
-        q_new = _q_gaussian(mu_new, sigma_new, S1, S2, n)
-        if q_new < q_cur:
-            return mu_star, sigma_full
-        mu, sigma, q_cur = mu_new, sigma_new, q_new
-    if _q_gaussian(mu_star, sigma_full, S1, S2, n) >= q_cur:
-        return mu_star, sigma_full
-    return mu, sigma
-
-
 def default_gaussian_init(X: IncompleteMatrix) -> GaussianParams:
     """Mean-imputed sample moments, the naive-imputation starting point."""
     from .imputation import impute_mean
@@ -468,7 +418,9 @@ def _fit_gaussian(X, init, cfg, project=None) -> EmFit:
         params = GaussianParams(params.mu.copy(), project(params.sigma))
 
     def m_step(stats, prev):
-        mu, sigma = _m_step_gaussian(*stats, X.n, cfg, prev)
+        S1, S2 = stats
+        mu = S1 / X.n
+        sigma = _spd_floor(S2 / X.n - np.outer(mu, mu))
         return GaussianParams(mu, sigma if project is None else project(sigma))
 
     def estep(q):
@@ -506,13 +458,10 @@ def em_student_fit(
     over a log-spaced grid by direct maximization of the observed Student-t
     log likelihood (the observed-likelihood block of the ECME scheme); the
     grid reuses the conditioning that the next E-step starts from. Given the
-    texture weights the M-step for (mu, sigma) is closed form, so GEM is
-    rejected. SEM and SAEM draw once per iteration; MCEM averages
-    cfg.mcem_draws draws.
+    texture weights the M-step for (mu, sigma) is closed form. SEM and SAEM
+    draw once per iteration; MCEM averages cfg.mcem_draws draws.
     """
     cfg = cfg or EmConfig()
-    if cfg.m_variant is MVariant.GEM:
-        raise ValueError("the Student-t M-step is closed form; GEM is not supported")
     _check_rows(X)
     if init is None:
         g = default_gaussian_init(X)

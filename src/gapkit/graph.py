@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 
 from .core import IncompleteMatrix
 
-# recover_tv's step balance: b = _TV_BALANCE * alpha / sd per column, sd the
+# recover_tv's step balance: b = _TV_BALANCE / sd per column, sd the
 # standard deviation of the column's start, so iterates scale with the data
 # (a fixed b left fields times 100 16-30% above the optimum after 500
 # iterations). Of 4, 5, 7, 10 and 15, 5 came closest in 200 iterations.
@@ -271,39 +271,35 @@ def recover_tikhonov(
     return out
 
 
-def recover_tv(
-    Y: IncompleteMatrix,
-    W: NDArray | UndirectedGraph,
-    alpha: float = 1.0,
-    max_iter: int = 500,
-) -> NDArray:
+def recover_tv(Y: IncompleteMatrix, W: NDArray | UndirectedGraph, max_iter: int = 500) -> NDArray:
     """Total-variation recovery with observed entries held fixed.
 
-    Minimizes alpha * sum_e w_e |x_i - x_j| per column by Chambolle & Pock's
+    Minimizes sum_e w_e |x_i - x_j| per column by Chambolle & Pock's
     primal-dual method (J. Math. Imaging Vis. 2011) on all columns at once,
     from the observed column means. With D the edge-difference matrix, one
-    iteration is xi = clip(xi + s D xbar, -alpha w, alpha w), x = x - t D^T xi
-    with the observed rows reset, and xbar = 2 x - x_old: two matmuls. The
-    steps are s = b / ||D|| and t = 1 / (b ||D||) (b: see _TV_BALANCE). Each
-    column's best iterate is returned (TV minimizers need not be unique). A
-    missing node that no path joins to an observed node raises ValueError.
+    iteration is xi = clip(xi + s D xbar, -w, w), x = x - t D^T xi with the
+    observed rows reset, and xbar = 2 x - x_old: two matmuls. The steps are
+    s = b / ||D|| and t = 1 / (b ||D||) (b: see _TV_BALANCE). Each column's
+    best iterate is returned (TV minimizers need not be unique). A missing
+    node that no path joins to an observed node raises ValueError. The TV
+    term has no weight: with the observed entries pinned, one would only
+    scale the objective.
     """
-    _check_alpha(alpha)
     _check_count("max_iter", max_iter, 1)
     W = (W if isinstance(W, UndirectedGraph) else UndirectedGraph(W)).W
     observed = Y.mask == 1
     _check_reachable(W, observed)
     y = Y.filled(0.0)
     x = np.where(observed, y, y.sum(axis=0) / Y.mask.sum(axis=0))
-    if alpha == 0 or observed.all():  # the start is a minimizer
+    if observed.all():  # nothing to recover
         return x
     ei, ej, we = _edge_list(W)
     D = np.eye(len(W))[ei] - np.eye(len(W))[ej]  # row e_i - e_j for edge (i, j)
     sd = np.std(x, axis=0)
-    b = _TV_BALANCE * alpha / np.where(sd > 0, sd, 1.0)
+    b = _TV_BALANCE / np.where(sd > 0, sd, 1.0)
     norm = np.linalg.norm(D, 2)
     s, t = b / norm, 1.0 / (b * norm)
-    bound = (alpha * we)[:, None]
+    bound = we[:, None]
     Dx = D @ x
     xi, Dxbar = np.zeros_like(Dx), Dx
     best, best_obj = x, we @ np.abs(Dx)

@@ -61,6 +61,9 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Section dicts plus top-level run keys; metrics may be a comma-separated string."""
         try:
+            for key in d:
+                if key not in ("dataset", "mechanism", "method", "metrics", "replicates", "seed"):
+                    raise ConfigError(f"unknown config key {key!r}: not a section or a [run] key")
             metrics = d.get("metrics", ("rmse",))
             if isinstance(metrics, str):
                 metrics = [m.strip() for m in metrics.split(",") if m.strip()]
@@ -106,45 +109,70 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
+# The keys each kind of a config section reads, with their defaults. A given
+# value is converted to its default's type; _settings rejects any other key,
+# so that a typo or a key the chosen kind ignores cannot run on a default.
+_DATASET = {
+    "gaussian": {"p": 5, "n": 200, "rho": 0.5},
+    "lowrank": {"p": 50, "n": 50, "rank": 2, "noise": 0.0},
+    "csv": {"path": ""},
+}
+_MECHANISM = {
+    "none": {},
+    "mcar": {"rate": 0.2},
+    "mar": {"driver_row": 0, "phi0": 0.0, "phi1": 1.0},
+    "mnar": {"phi0": 0.0, "phi1": 1.0},
+}
+_IMPUTE = {
+    "mean": {},
+    "locf": {},
+    "linear": {},
+    "knn": {"k": 5},
+    "condgauss": {"add_noise": False},
+    "iterative": {"add_noise": False, "ridge_penalty": 1e-3, "max_sweeps": 50, "tol": 1e-6},
+}
+_COMPLETE = {
+    "hard": {"rank": 2, "tol": 1e-6, "max_iter": 500},
+    "soft": {"lam": 1.0, "tol": 1e-6, "max_iter": 500},
+}
+
+
+def _settings(section, spec: dict, key, default, tables, what, also=()):
+    """(kind, settings) of a config section. kind is spec[key], or default,
+    and must name one of tables; settings holds every key tables[kind] reads.
+    Any other key of spec, except key itself and those in also, raises
+    ConfigError."""
+    kind = spec.get(key, default)
+    if not isinstance(kind, str) or kind not in tables:
+        raise ConfigError(f"unknown {what} {kind!r}")
+    table = tables[kind]
+    for name in spec:
+        if name not in table and name != key and name not in also:
+            raise ConfigError(f"[{section}] {name} is not read under {key} = {kind}")
+    return kind, {k: type(d)(spec[k]) if k in spec else d for k, d in table.items()}
+
+
 def _make_dataset(spec: dict, seed: SeedSpec):
-    kind = spec.get("kind", "gaussian")
+    kind, s = _settings("dataset", spec, "kind", "gaussian", _DATASET, "dataset kind")
     rng = seed.rng()
     if kind == "gaussian":
-        p = int(spec.get("p", 5))
-        n = int(spec.get("n", 200))
-        rho = float(spec.get("rho", 0.5))
-        sigma = rho ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+        p = s["p"]
+        sigma = s["rho"] ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
         L = np.linalg.cholesky(sigma)
-        return L @ rng.standard_normal((p, n))
+        return L @ rng.standard_normal((p, s["n"]))
     if kind == "lowrank":
-        p = int(spec.get("p", 50))
-        n = int(spec.get("n", 50))
-        r = int(spec.get("rank", 2))
-        noise = float(spec.get("noise", 0.0))
-        X = rng.standard_normal((p, r)) @ rng.standard_normal((r, n))
-        if noise > 0:
-            X = X + noise * rng.standard_normal((p, n))
+        X = rng.standard_normal((s["p"], s["rank"])) @ rng.standard_normal((s["rank"], s["n"]))
+        if s["noise"] > 0:
+            X = X + s["noise"] * rng.standard_normal(X.shape)
         return X
-    if kind == "csv":
-        return read_matrix_csv(spec["path"]).values
-    raise ConfigError(f"unknown dataset kind {kind!r}")
+    if not s["path"]:
+        raise ConfigError("[dataset] kind = csv needs a path")
+    return read_matrix_csv(s["path"]).values
 
 
 def _make_mechanism(spec: dict) -> MechanismSpec | None:
-    kind = spec.get("kind", "none")
-    if kind == "none":
-        return None
-    try:
-        mk = MechanismKind(kind)
-    except ValueError as exc:
-        raise ConfigError(f"unknown mechanism kind {kind!r}") from exc
-    return MechanismSpec(
-        mk,
-        rate=float(spec.get("rate", 0.2)),
-        driver_row=int(spec.get("driver_row", 0)),
-        phi0=float(spec.get("phi0", 0.0)),
-        phi1=float(spec.get("phi1", 1.0)),
-    )
+    kind, s = _settings("mechanism", spec, "kind", "none", _MECHANISM, "mechanism kind")
+    return None if kind == "none" else MechanismSpec(MechanismKind(kind), **s)
 
 
 def _locf_fill(X: IncompleteMatrix):
@@ -175,42 +203,18 @@ def _linear_fill(X: IncompleteMatrix):
 def _run_method(spec: dict, X: IncompleteMatrix, seed: SeedSpec):
     module = spec.get("module", "impute")
     if module == "impute":
-        name = spec.get("method", "mean")
+        name, s = _settings("method", spec, "method", "mean", _IMPUTE, "imputation method", ("module", "label"))
         # trivial time-series comparators live only here in the harness
         if name == "locf":
             return _locf_fill(X)
         if name == "linear":
             return _linear_fill(X)
-        try:
-            kind = ImputerKind(name)
-        except ValueError as exc:
-            raise ConfigError(f"unknown imputation method {name!r}") from exc
-        imp = ImputerSpec(
-            kind,
-            k=int(spec.get("k", 5)),
-            add_noise=bool(spec.get("add_noise", False)),
-            ridge_penalty=float(spec.get("ridge_penalty", 1e-3)),
-            max_sweeps=int(spec.get("max_sweeps", 50)),
-            tol=float(spec.get("tol", 1e-6)),
-        )
-        return run_imputer(X, imp, seed)
+        return run_imputer(X, ImputerSpec(ImputerKind(name), **s), seed)
     if module == "complete":
-        mode = spec.get("mode", "hard")
+        mode, s = _settings("method", spec, "mode", "hard", _COMPLETE, "completion mode", ("module", "label"))
         if mode == "hard":
-            return hard_impute(
-                X,
-                int(spec.get("rank", 2)),
-                tol=float(spec.get("tol", 1e-6)),
-                max_iter=int(spec.get("max_iter", 500)),
-            ).X
-        if mode == "soft":
-            return soft_impute(
-                X,
-                float(spec.get("lam", 1.0)),
-                tol=float(spec.get("tol", 1e-6)),
-                max_iter=int(spec.get("max_iter", 500)),
-            ).X
-        raise ConfigError(f"unknown completion mode {mode!r}")
+            return hard_impute(X, s["rank"], tol=s["tol"], max_iter=s["max_iter"]).X
+        return soft_impute(X, s["lam"], tol=s["tol"], max_iter=s["max_iter"]).X
     raise ConfigError(f"unknown method module {module!r}")
 
 

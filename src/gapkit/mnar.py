@@ -197,6 +197,8 @@ def sem_selection_fit(
     estimate_phi=False to hold the mechanism at init_phi (the chain then
     reduces to stochastic Gaussian EM under that fixed mechanism).
     """
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     if iters <= burn_in:
         raise ValueError("iters must exceed burn_in")
     if not np.isfinite(init_phi).all():

@@ -3,8 +3,8 @@
 Two structure sets are supported: a factor model (scaled identity plus a
 rank-r PSD part) and a noise-floored set whose eigenvalues may not drop below
 a known white-noise power. Structured EM is the Gaussian EM driver with the
-covariance projected onto the set after every M-step, so it honours the E-
-and M-variants of its EmConfig.
+covariance projected onto the set after every M-step, so it honours the
+E-variant of its EmConfig.
 """
 from __future__ import annotations
 
@@ -80,7 +80,7 @@ def em_structured_fit(
 ) -> EmFit:
     """Gaussian EM whose covariance is projected onto the structure set.
 
-    This is em_gaussian_fit, E- and M-variants included, with
+    This is em_gaussian_fit, E-variants included, with
     structure.project applied to the initial covariance and to every M-step
     covariance; the mean update stays unconstrained. For the noise-floor
     structure the projection of the full M-step is the exact constrained

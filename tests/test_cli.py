@@ -363,8 +363,7 @@ seed = 4
     [
         (["--model", "student", "--structure", "factor:1"], "--structure"),
         (["--estimate-nu"], "--estimate-nu"),
-        (["--model", "student", "--mvariant", "gem"], "GEM"),
-        (["--mvariant", "ecm"], "'ecm' is not one of 'full', 'gem'"),
+        (["--seed", "7"], "--seed applies to --evariant sem, mcem or saem only"),
     ],
 )
 def test_estimate_rejects_ignored_combinations(runner, tmp_path, extra, message):
@@ -373,6 +372,35 @@ def test_estimate_rejects_ignored_combinations(runner, tmp_path, extra, message)
     res = runner.invoke(main, ["estimate", "--in", str(data), *extra])
     assert res.exit_code == 2
     assert message in res.output
+
+
+def test_estimate_seed_acts_under_stochastic_evariants(runner, tmp_path):
+    data = tmp_path / "x.csv"
+    _write_gappy_matrix(data, seed=6)
+    for evariant in ("sem", "mcem", "saem"):
+        outs = []
+        for seed in ("0", "7"):
+            res = runner.invoke(main, ["estimate", "--in", str(data), "--evariant", evariant, "--maxiter", "5",
+                                       "--seed", seed])
+            assert res.exit_code == 0, res.output
+            outs.append(res.output)
+        assert outs[0] != outs[1]
+
+
+def test_graph_recover_alpha_acts_under_squared_and_huber_fidelity(runner, tmp_path):
+    edges = tmp_path / "g.csv"
+    edges.write_text("0,1,1.0\n1,2,1.0\n", encoding="utf-8")
+    data = tmp_path / "sig.csv"
+    write_matrix_csv(data, np.array([[1.0, 3.0], [np.nan, 2.0], [2.0, np.nan]]))
+    base = ["graph", "recover", "--in", str(data), "--graph", str(edges)]
+    for fidelity in ("squared", "huber"):
+        outs = []
+        for alpha in ("1", "5"):
+            out = tmp_path / f"rec{fidelity}{alpha}.csv"
+            res = runner.invoke(main, [*base, "--fidelity", fidelity, "--alpha", alpha, "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            outs.append(out.read_bytes())
+        assert outs[0] != outs[1]
 
 
 def test_graph_recover_beta_acts_under_squared_fidelity(runner, tmp_path):
@@ -622,8 +650,10 @@ def _probe_files(tmp_path):
     empty_cfg.write_text("", encoding="utf-8")
     no_method_cfg = tmp_path / "no_method.cfg"
     no_method_cfg.write_text("[dataset]\nkind = gaussian\n\n[run]\nreplicates = 2\n", encoding="utf-8")
+    unread_key_cfg = tmp_path / "unread_key.cfg"
+    unread_key_cfg.write_text("[dataset]\nkind = gaussian\nsede = 3\n\n[method]\nmodule = impute\n", encoding="utf-8")
     return {"gappy": str(gappy), "full": str(full), "zero": str(zero), "edges": str(edges), "series": str(series),
-            "empty_cfg": str(empty_cfg), "no_method_cfg": str(no_method_cfg),
+            "empty_cfg": str(empty_cfg), "no_method_cfg": str(no_method_cfg), "unread_key_cfg": str(unread_key_cfg),
             "dir": str(tmp_path), "out": str(tmp_path / "o.csv"), "nodir": str(tmp_path / "no" / "o.csv")}
 
 
@@ -649,7 +679,13 @@ _PROBES = [
      ["graph", "learn", "--in", "{full}", "--model", "var", "--alpha", "-1", "--out", "{out}"],
      "alpha must be nonnegative"),
     ("recover_tv_alpha_neg", ["graph", "recover", "--in", "{gappy}", "--graph", "{edges}", "--smoothness", "tv",
-                              "--alpha", "-1", "--out", "{out}"], "alpha must be nonnegative"),
+                              "--alpha", "-1", "--out", "{out}"],
+     "--alpha applies to --smoothness tikhonov with --fidelity squared or huber only"),
+    ("recover_exact_alpha", ["graph", "recover", "--in", "{gappy}", "--graph", "{edges}", "--fidelity", "exact",
+                             "--alpha", "2", "--out", "{out}"],
+     "--alpha applies to --smoothness tikhonov with --fidelity squared or huber only"),
+    ("mnar_fit_burnin_neg", ["mnar-fit", "--in", "{gappy}", "--iters", "3", "--burnin", "-1"],
+     "burn_in must be >= 0"),
     ("complete_maxiter0", ["complete", "--in", "{gappy}", "--maxiter", "0", "--out", "{out}"], "max_iter >= 1"),
     ("complete_tol_neg", ["complete", "--in", "{gappy}", "--tol", "-1", "--out", "{out}"], "tol > 0"),
     ("joint_sigma_n2_neg", ["graph", "joint", "--in", "{gappy}", "--sigma-n2", "-1", "--out-prefix", "{out}"],
@@ -699,6 +735,8 @@ _PROBES = [
      "missing config section: 'dataset'"),
     ("bench_no_method_section", ["bench", "--config", "{no_method_cfg}", "--out-dir", "{dir}"],
      "missing config section: 'method'"),
+    ("bench_unread_key", ["bench", "--config", "{unread_key_cfg}", "--out-dir", "{dir}"],
+     "[dataset] sede is not read under kind = gaussian"),
     ("ts_impute_explosive_a", ["ts-impute", "--in", "{series}", "--mu", "0", "--a", "1e300", "--sigma", "1",
                                "--nu", "5", "--out", "{out}"], "a = 1e+300"),
 ]
@@ -811,7 +849,7 @@ _FUZZ = {
                 "--k": _SIZES, "--add-noise": _FLAG, "--draws": _COUNTS, "--seed": _SEEDS},
                {"--in"}, "--out"),
     "estimate": ({"--in": _MATRICES, "--mask": _MASKS, "--model": ["gaussian", "student"],
-                  "--evariant": ["exact", "sem", "mcem", "saem"], "--mvariant": ["full", "ecm", "ecme", "gem"],
+                  "--evariant": ["exact", "sem", "mcem", "saem"],
                   "--structure": ["factor:1", "floor:0.5", "factor:0", "floor:-1", "floor:nan", "nope"],
                   "--estimate-nu": _FLAG, "--tol": _FLOATS, "--maxiter": _COUNTS, "--seed": _SEEDS},
                  {"--in", "--maxiter"}, "--out"),

@@ -14,7 +14,6 @@ from gapkit.em import (
     EVariant,
     GaussianParams,
     GeneratorKind,
-    MVariant,
     StudentTParams,
     conditional_gaussian,
     em_gaussian_fit,
@@ -337,15 +336,6 @@ def test_em_saem_variance_shrinks():
     assert late.var() < early.var()
 
 
-def test_em_gem_ascends_and_converges_close():
-    rng = np.random.default_rng(19)
-    X = _mcar(rng.standard_normal((2, 200)), 0.3, 20)
-    full = em_gaussian_fit(X, cfg=EmConfig(tol=1e-12, max_iter=400))
-    gem = em_gaussian_fit(X, cfg=EmConfig(m_variant=MVariant.GEM, tol=1e-12, max_iter=400))
-    assert np.all(np.diff(gem.loglik_trace) >= -1e-10)
-    assert np.abs(gem.params.mu - full.params.mu).max() < 1e-4
-
-
 def test_em_rejects_underobserved_rows():
     X = IncompleteMatrix(np.ones((2, 3)), [[1, 0, 0], [1, 1, 1]])
     with pytest.raises(ValueError, match="observed at least twice"):
@@ -404,12 +394,6 @@ def test_student_sem_is_one_draw_mcem():
     mcem = em_student_fit(X, init=init, cfg=one)
     assert np.array_equal(sem.mu_trace, mcem.mu_trace)
     assert np.array_equal(sem.params.sigma, mcem.params.sigma)
-
-
-def test_student_rejects_gem():
-    X, _ = _student_data(43, n=50)
-    with pytest.raises(ValueError, match="GEM"):
-        em_student_fit(X, cfg=EmConfig(m_variant=MVariant.GEM))
 
 
 def test_student_beats_gaussian_with_outlier():

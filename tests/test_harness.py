@@ -74,6 +74,44 @@ def test_config_missing_file():
         ExperimentConfig({"kind": "csv", "path": "/nonexistent/file.csv"}, {}, {})
 
 
+@pytest.mark.parametrize(
+    "section, line, message",
+    [
+        ("[run]", "replicate = 5", "unknown config key 'replicate'"),
+        ("[run]", "sede = 3", "unknown config key 'sede'"),
+        ("[dataset]", "rank = 3", "[dataset] rank is not read under kind = gaussian"),
+        ("[mechanism]", "phi1 = 2", "[mechanism] phi1 is not read under kind = mcar"),
+        ("[method]", "k = 3", "[method] k is not read under method = mean"),
+        ("[method]", "lam = 2", "[method] lam is not read under method = mean"),
+    ],
+)
+def test_config_rejects_keys_nothing_reads(tmp_path, section, line, message):
+    # a typo, or a key the chosen kind ignores, would otherwise run on the defaults
+    text = TEXT_CONFIG.replace(section, f"{section}\n{line}")
+    with pytest.raises(ConfigError) as err:
+        run_experiment(load_config(_write(tmp_path, "c.cfg", text)))
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "mechanism, method, message",
+    [
+        ({"kind": "mar", "rate": 0.3}, {}, "[mechanism] rate is not read under kind = mar"),
+        ({"kind": "mnar", "driver_row": 1}, {}, "[mechanism] driver_row is not read under kind = mnar"),
+        ({"kind": "mcar"}, {"method": "knn", "add_noise": True}, "[method] add_noise is not read under method = knn"),
+        ({"kind": "mcar"}, {"method": "condgauss", "tol": 1e-3}, "[method] tol is not read under method = condgauss"),
+        ({"kind": "mcar"}, {"module": "complete", "mode": "soft", "rank": 3},
+         "[method] rank is not read under mode = soft"),
+        ({"kind": "mcar"}, {"module": "complete", "method": "mean"}, "[method] method is not read under mode = hard"),
+    ],
+)
+def test_sections_accept_only_the_keys_their_kind_reads(mechanism, method, message):
+    cfg = ExperimentConfig({"kind": "gaussian", "p": 3, "n": 20}, mechanism, {"label": "x", **method})
+    with pytest.raises(ConfigError) as err:
+        run_experiment(cfg)
+    assert message in str(err.value)
+
+
 def test_run_experiment_rows_and_reproducibility(tmp_path):
     cfg = load_config(_write(tmp_path, "c.cfg", TEXT_CONFIG))
     a = run_experiment(cfg)

@@ -167,6 +167,14 @@ def test_sem_requires_iters_above_burnin():
         sem_selection_fit(X, iters=10, burn_in=10)
 
 
+@pytest.mark.parametrize("iters", [3, 0])
+def test_sem_rejects_negative_burnin(iters):
+    # a negative burn_in would average the last draws only, or an empty chain
+    X = _self_masked_fixture(0, phi1=0.0)
+    with pytest.raises(ValueError, match="burn_in must be >= 0, got -1"):
+        sem_selection_fit(X, iters=iters, burn_in=-1)
+
+
 # -- logistic Newton ----------------------------------------------------------
 
 
