@@ -109,39 +109,41 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-# The keys each kind of a config section reads, with their defaults. A given
-# value is converted to its default's type; _settings rejects any other key,
-# so that a typo or a key the chosen kind ignores cannot run on a default.
-_DATASET = {
+# How a config section picks its kind: the key that names it, the default
+# kind and the name of the choice, then the keys each kind reads with their
+# defaults. A given value is converted to its default's type; _settings
+# rejects any other key, so that a typo or a key the chosen kind ignores
+# cannot run on a default.
+_DATASET = ("kind", "gaussian", "dataset kind", {
     "gaussian": {"p": 5, "n": 200, "rho": 0.5},
     "lowrank": {"p": 50, "n": 50, "rank": 2, "noise": 0.0},
     "csv": {"path": ""},
-}
-_MECHANISM = {
+})
+_MECHANISM = ("kind", "none", "mechanism kind", {
     "none": {},
     "mcar": {"rate": 0.2},
     "mar": {"driver_row": 0, "phi0": 0.0, "phi1": 1.0},
     "mnar": {"phi0": 0.0, "phi1": 1.0},
-}
-_IMPUTE = {
+})
+_IMPUTE = ("method", "mean", "imputation method", {
     "mean": {},
     "locf": {},
     "linear": {},
     "knn": {"k": 5},
     "condgauss": {"add_noise": False},
     "iterative": {"add_noise": False, "ridge_penalty": 1e-3, "max_sweeps": 50, "tol": 1e-6},
-}
-_COMPLETE = {
+})
+_COMPLETE = ("mode", "hard", "completion mode", {
     "hard": {"rank": 2, "tol": 1e-6, "max_iter": 500},
     "soft": {"lam": 1.0, "tol": 1e-6, "max_iter": 500},
-}
+})
 
 
-def _settings(section, spec: dict, key, default, tables, what, also=()):
-    """(kind, settings) of a config section. kind is spec[key], or default,
-    and must name one of tables; settings holds every key tables[kind] reads.
-    Any other key of spec, except key itself and those in also, raises
-    ConfigError."""
+def _settings(section, spec: dict, layout, also=()):
+    """(kind, settings) of a config section laid out as above. settings holds
+    every key the kind reads; any other key of spec, except the one naming
+    the kind and those in also, raises ConfigError."""
+    key, default, what, tables = layout
     kind = spec.get(key, default)
     if not isinstance(kind, str) or kind not in tables:
         raise ConfigError(f"unknown {what} {kind!r}")
@@ -152,8 +154,17 @@ def _settings(section, spec: dict, key, default, tables, what, also=()):
     return kind, {k: type(d)(spec[k]) if k in spec else d for k, d in table.items()}
 
 
+def _method_settings(spec: dict):
+    """(module, method or mode, settings) of the [method] section."""
+    module = spec.get("module", "impute")
+    if module not in ("impute", "complete"):
+        raise ConfigError(f"unknown method module {module!r}")
+    layout = _IMPUTE if module == "impute" else _COMPLETE
+    return (module, *_settings("method", spec, layout, ("module", "label")))
+
+
 def _make_dataset(spec: dict, seed: SeedSpec):
-    kind, s = _settings("dataset", spec, "kind", "gaussian", _DATASET, "dataset kind")
+    kind, s = _settings("dataset", spec, _DATASET)
     rng = seed.rng()
     if kind == "gaussian":
         p = s["p"]
@@ -165,13 +176,11 @@ def _make_dataset(spec: dict, seed: SeedSpec):
         if s["noise"] > 0:
             X = X + s["noise"] * rng.standard_normal(X.shape)
         return X
-    if not s["path"]:
-        raise ConfigError("[dataset] kind = csv needs a path")
     return read_matrix_csv(s["path"]).values
 
 
 def _make_mechanism(spec: dict) -> MechanismSpec | None:
-    kind, s = _settings("mechanism", spec, "kind", "none", _MECHANISM, "mechanism kind")
+    kind, s = _settings("mechanism", spec, _MECHANISM)
     return None if kind == "none" else MechanismSpec(MechanismKind(kind), **s)
 
 
@@ -201,21 +210,17 @@ def _linear_fill(X: IncompleteMatrix):
 
 
 def _run_method(spec: dict, X: IncompleteMatrix, seed: SeedSpec):
-    module = spec.get("module", "impute")
-    if module == "impute":
-        name, s = _settings("method", spec, "method", "mean", _IMPUTE, "imputation method", ("module", "label"))
-        # trivial time-series comparators live only here in the harness
-        if name == "locf":
-            return _locf_fill(X)
-        if name == "linear":
-            return _linear_fill(X)
-        return run_imputer(X, ImputerSpec(ImputerKind(name), **s), seed)
+    module, name, s = _method_settings(spec)
     if module == "complete":
-        mode, s = _settings("method", spec, "mode", "hard", _COMPLETE, "completion mode", ("module", "label"))
-        if mode == "hard":
+        if name == "hard":
             return hard_impute(X, s["rank"], tol=s["tol"], max_iter=s["max_iter"]).X
         return soft_impute(X, s["lam"], tol=s["tol"], max_iter=s["max_iter"]).X
-    raise ConfigError(f"unknown method module {module!r}")
+    # trivial time-series comparators live only here in the harness
+    if name == "locf":
+        return _locf_fill(X)
+    if name == "linear":
+        return _linear_fill(X)
+    return run_imputer(X, ImputerSpec(ImputerKind(name), **s), seed)
 
 
 def _mae_missing(Xhat, Xtrue, mask):
@@ -286,6 +291,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     that fail (for example an empty evaluation set) are reported as notes
     without failing the replicate.
     """
+    # every section is checked first, so a replicate failing on its data cannot hide a bad key
+    _settings("dataset", config.dataset, _DATASET)
+    _settings("mechanism", config.mechanism, _MECHANISM)
+    _method_settings(config.method)
     result = ExperimentResult(n_replicates=config.replicates)
     result.manifest = {
         "config": config.to_dict(),

@@ -106,7 +106,9 @@ def test_config_rejects_keys_nothing_reads(tmp_path, section, line, message):
     ],
 )
 def test_sections_accept_only_the_keys_their_kind_reads(mechanism, method, message):
-    cfg = ExperimentConfig({"kind": "gaussian", "p": 3, "n": 20}, mechanism, {"label": "x", **method})
+    # rho = 2 is no correlation matrix, so every replicate would fail: the
+    # keys must be checked before any replicate runs
+    cfg = ExperimentConfig({"kind": "gaussian", "p": 3, "n": 20, "rho": 2.0}, mechanism, {"label": "x", **method})
     with pytest.raises(ConfigError) as err:
         run_experiment(cfg)
     assert message in str(err.value)
