@@ -420,9 +420,7 @@ def graph_learn_cmd(in_path, model, alpha, out):
         G = gmrf_learn(S, alpha)
         _write_edge_csv(out, G.edges())
     else:
-        A = var_learn(vals, alpha).A
-        nz = np.argwhere(np.abs(A) > 0)
-        _write_edge_csv(out, [(i, j, A[i, j]) for i, j in nz])
+        _write_edge_csv(out, var_learn(vals, alpha).edges())
 
 
 @graph_group.command("joint")
@@ -439,9 +437,7 @@ def graph_joint_cmd(in_path, mask_path, alpha_a, alpha_l, sigma_n2, iters, out_p
     res = stsrgl_fit(Y, alpha_a=alpha_a, alpha_l=alpha_l, sigma_n2=sigma_n2, iters=iters)
     write_matrix_csv(f"{out_prefix}.X.csv", res.X)
     _write_edge_csv(f"{out_prefix}.L.csv", res.L.edges())
-    A = res.A.A
-    nz = np.argwhere(np.abs(A) > 0)
-    _write_edge_csv(f"{out_prefix}.A.csv", [(i, j, A[i, j]) for i, j in nz])
+    _write_edge_csv(f"{out_prefix}.A.csv", res.A.edges())
 
 
 @main.command("ts-fit")

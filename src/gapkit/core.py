@@ -210,7 +210,8 @@ def _orthonormalize(U: NDArray) -> NDArray:
 
 
 def read_matrix_csv(path, mask_path=None) -> IncompleteMatrix:
-    """Read a p x n matrix CSV; empty fields mark missing entries.
+    """Read a p x n matrix CSV; empty fields mark missing entries, and every
+    other field must be a finite number.
 
     If mask_path is given, the sidecar 0/1 mask overrides the empty-field
     convention (entries masked out are dropped even if a value is present);
@@ -224,7 +225,7 @@ def read_matrix_csv(path, mask_path=None) -> IncompleteMatrix:
         while lines[-1].strip() == "":
             lines.pop()
     rows = [
-        [float(tok) if tok.strip() else np.nan for tok in line.split(",")]
+        [float(tok) if tok.strip() else None for tok in line.split(",")]
         for line in lines
     ]
     if not rows:
@@ -232,7 +233,13 @@ def read_matrix_csv(path, mask_path=None) -> IncompleteMatrix:
     width = {len(r) for r in rows}
     if len(width) != 1:
         raise ValueError(f"ragged CSV rows in {path}")
-    values = np.array(rows, dtype=float)
+    cells = np.array(rows, dtype=object)
+    empty = np.equal(cells, None)
+    values = cells.astype(float)
+    bad = np.argwhere(~empty & ~np.isfinite(values))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"{path}: non-finite value at row {i}, column {j} (0-based)")
     if mask_path is not None:
         try:
             mask = np.loadtxt(mask_path, delimiter=",", dtype=float, ndmin=2)
@@ -242,17 +249,16 @@ def read_matrix_csv(path, mask_path=None) -> IncompleteMatrix:
             raise ValueError(
                 f"mask file {mask_path}: shape mismatch: values {values.shape} vs mask {mask.shape}"
             )
-        holes = np.argwhere(np.isnan(values) & (mask == 1))
+        holes = np.argwhere(empty & (mask == 1))
         if len(holes):
             i, j = holes[0]
             raise ValueError(
                 f"{path}: empty field at row {i}, column {j} (0-based) "
                 f"is marked observed in {mask_path}"
             )
-        values = np.where(mask == 1, values, np.nan)
     else:
-        mask = (~np.isnan(values)).astype(np.int8)
-    return IncompleteMatrix(np.where(np.isnan(values), 0.0, values), mask)
+        mask = (~empty).astype(np.int8)
+    return IncompleteMatrix(np.where(empty, 0.0, values), mask)
 
 
 def write_matrix_csv(path, X, mask=None) -> None:

@@ -40,23 +40,15 @@ class GaussianParams:
 
 
 @dataclass
-class StudentTParams:
+class StudentTParams(GaussianParams):
     """Location, SPD shape matrix and degrees of freedom."""
 
-    mu: NDArray
-    sigma: NDArray
     nu: float
 
     def __post_init__(self):
-        self.mu = np.asarray(self.mu, dtype=float).reshape(-1)
-        self.sigma = np.asarray(self.sigma, dtype=float)
-        _check_spd(self.sigma, len(self.mu))
+        super().__post_init__()
         if not self.nu > 0:
             raise ValueError("nu must be positive")
-
-    @property
-    def p(self) -> int:
-        return len(self.mu)
 
 
 def _check_spd(sigma, p):
@@ -99,6 +91,8 @@ class EmConfig:
             raise ValueError("max_iter must be >= 1")
         if self.mcem_draws < 1:
             raise ValueError("mcem_draws must be >= 1")
+        if self.saem_burn_in < 0:
+            raise ValueError(f"saem_burn_in must be >= 0, got {self.saem_burn_in}")
 
     def saem_gamma(self, k: int) -> float:
         """Step weight for (1-based) iteration k."""
@@ -164,12 +158,7 @@ class DensityGenerator:
             return np.exp(-r / 2.0) / (2.0 * math.pi) ** (n / 2.0)
         if self.kind is GeneratorKind.STUDENT_T:
             nu = self.nu
-            logc = (
-                gammaln((nu + n) / 2.0)
-                - gammaln(nu / 2.0)
-                - (n / 2.0) * math.log(nu * math.pi)
-            )
-            return np.exp(logc - (n + nu) / 2.0 * np.log1p(r / nu))
+            return np.exp(_student_log_norm(nu, n) - (n + nu) / 2.0 * np.log1p(r / nu))
         if self.kind is GeneratorKind.GENERALIZED_GAUSSIAN:
             s, b = self.s, self.b
             logc = (
@@ -258,17 +247,34 @@ def _gaussian_loglik(cond: _Conditioned) -> float:
     return float(np.sum(-0.5 * (cond.k * LOG_2PI + cond.logdet + cond.delta)))
 
 
-def _student_loglik(cond: _Conditioned, nu):
-    """Observed-marginal Student-t log likelihood at a scalar nu, or at each
-    entry of a vector of them."""
+def _student_log_norm(nu, k):
+    """Log normaliser of the k-dimensional Student-t density with a unit scale
+    matrix: log Gamma((nu + k)/2) - log Gamma(nu/2) - (k/2) log(nu pi)."""
     from scipy.special import gammaln
 
+    return gammaln((nu + k) / 2.0) - gammaln(nu / 2.0) - (k / 2.0) * np.log(nu * math.pi)
+
+
+def _student_loglik(k, delta, logdet, nu):
+    """Student-t log likelihood of points with k (integer) observed
+    coordinates, squared radii delta and scale-block log determinants logdet
+    (per point, or summed), at a scalar nu or at each entry of a vector of
+    them; one (grid, points) buffer holds q = log1p(delta / nu)."""
     nu = np.asarray(nu, dtype=float)[..., None]
-    count = np.bincount(cond.k)  # columns per observed count k
-    k = np.arange(len(count))
-    logc = gammaln((nu + k) / 2.0) - gammaln(nu / 2.0) - (k / 2.0) * np.log(nu * math.pi)
-    radial = np.sum((nu + cond.k) / 2.0 * np.log1p(cond.delta / nu), axis=-1)
-    return logc @ count - 0.5 * np.sum(cond.logdet) - radial
+    count = np.bincount(k)  # points per observed count
+    q = np.divide(delta, nu)
+    np.log1p(q, out=q)
+    radial = 0.5 * (nu[..., 0] * q.sum(axis=-1) + q @ k)
+    return _student_log_norm(nu, np.arange(len(count))) @ count - 0.5 * np.sum(logdet) - radial
+
+
+def _texture_weights(nu, k, delta, rng=None):
+    """Texture weights of Student-t points with k observed coordinates and
+    squared radii delta, whose posterior is Gamma with shape (nu + k)/2 and
+    scale 2/(nu + delta): its means when rng is None, else one draw each."""
+    if rng is None:
+        return (nu + k) / (nu + delta)
+    return rng.gamma((nu + k) / 2.0, 2.0 / (nu + delta))
 
 
 def observed_loglik_gaussian(params: GaussianParams, X: IncompleteMatrix) -> float:
@@ -279,7 +285,8 @@ def observed_loglik_gaussian(params: GaussianParams, X: IncompleteMatrix) -> flo
 
 def observed_loglik_student(params: StudentTParams, X: IncompleteMatrix) -> float:
     """Observed-marginal Student-t log likelihood (marginals keep nu)."""
-    return float(_student_loglik(_condition_all(params.mu, params.sigma, X), params.nu))
+    cond = _condition_all(params.mu, params.sigma, X)
+    return float(_student_loglik(cond.k, cond.delta, cond.logdet, params.nu))
 
 
 # ---------------------------------------------------------------------------
@@ -437,15 +444,6 @@ def _fit_gaussian(X, init, cfg, project=None) -> EmFit:
 NU_GRID = np.geomspace(1.0, 100.0, 25)
 
 
-def _student_stats(nu, X: IncompleteMatrix, cond: _Conditioned, rng):
-    """Texture-weighted statistics: the weights are the Gamma-posterior means
-    (nu + p_o)/(nu + delta_o) when rng is None, else one draw from each
-    column's Gamma conditional, in column order."""
-    if rng is None:
-        return _moments(X, cond, (nu + cond.k) / (nu + cond.delta))
-    return _moments(X, cond, rng.gamma((nu + cond.k) / 2.0, 2.0 / (nu + cond.delta)), rng)
-
-
 def em_student_fit(
     X: IncompleteMatrix,
     init: StudentTParams | None = None,
@@ -476,7 +474,8 @@ def em_student_fit(
 
     def estep(q):
         cond = condition(q.mu, q.sigma)
-        return float(_student_loglik(cond, q.nu)), lambda rng: _student_stats(q.nu, X, cond, rng)
+        ll = _student_loglik(cond.k, cond.delta, cond.logdet, q.nu)
+        return float(ll), lambda rng: _moments(X, cond, _texture_weights(q.nu, cond.k, cond.delta, rng), rng)
 
     def m_step(stats, prev):
         Sw, S1, S2 = stats
@@ -484,7 +483,8 @@ def em_student_fit(
         sigma = _spd_floor((S2 - Sw * np.outer(mu, mu)) / X.n)
         nu = prev.nu
         if estimate_nu:
-            nu = float(NU_GRID[np.argmax(_student_loglik(condition(mu, sigma), NU_GRID))])
+            cond = condition(mu, sigma)
+            nu = float(NU_GRID[np.argmax(_student_loglik(cond.k, cond.delta, cond.logdet, NU_GRID))])
         return StudentTParams(mu, sigma, nu)
 
     return _em_loop(params, cfg, estep, m_step)

@@ -141,6 +141,10 @@ class DirectedGraph:
             raise ValueError("A must be finite")
         object.__setattr__(self, "A", A)
 
+    def edges(self):
+        """(i, j, A[i, j]) for every nonzero entry, row by row."""
+        return [(i, j, self.A[i, j]) for i, j in np.argwhere(self.A != 0)]
+
 
 class SmoothnessKind(Enum):
     TIKHONOV = "tikhonov"
@@ -324,9 +328,7 @@ def _gmrf_objective(w, s_vec, alpha, iu, ju, p):
     s_vec = _edge_form(S). pdet(L) = det(L + 1 1^T / p) for a connected graph;
     returns the objective and the upper Cholesky factor of that matrix, or
     (inf, None) when it is not numerically positive definite."""
-    M = np.zeros((p, p))
-    M[iu, ju] = w
-    M[ju, iu] = w
+    M = _adjacency(w, iu, ju, p)
     deg = M.sum(axis=1)
     if not np.isfinite(deg).all():
         raise ValueError("edge weights must be finite")

@@ -72,8 +72,8 @@ class ExperimentConfig:
                 mechanism=dict(d.get("mechanism", {"kind": "none"})),
                 method=dict(d["method"]),
                 metrics=tuple(metrics),
-                replicates=int(d.get("replicates", 1)),
-                seed=int(d.get("seed", 0)),
+                replicates=_typed("run", "replicates", d.get("replicates", 1), 1),
+                seed=_typed("run", "seed", d.get("seed", 0), 0),
             )
         except KeyError as exc:
             raise ConfigError(f"missing config section: {exc}") from exc
@@ -111,7 +111,7 @@ def load_config(path) -> ExperimentConfig:
 
 # How a config section picks its kind: the key that names it, the default
 # kind and the name of the choice, then the keys each kind reads with their
-# defaults. A given value is converted to its default's type; _settings
+# defaults. A given value must have its default's type (`_typed`); _settings
 # rejects any other key, so that a typo or a key the chosen kind ignores
 # cannot run on a default.
 _DATASET = ("kind", "gaussian", "dataset kind", {
@@ -151,7 +151,25 @@ def _settings(section, spec: dict, layout, also=()):
     for name in spec:
         if name not in table and name != key and name not in also:
             raise ConfigError(f"[{section}] {name} is not read under {key} = {kind}")
-    return kind, {k: type(d)(spec[k]) if k in spec else d for k, d in table.items()}
+    return kind, {k: _typed(section, k, spec[k], d) if k in spec else d for k, d in table.items()}
+
+
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _typed(section, name, value, default):
+    """value as its default's type: true/false for a bool, an integral number
+    for an int, a finite number for a float; a bool is never a number."""
+    kind = type(default)
+    if kind is bool or kind is str:
+        ok = isinstance(value, kind)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        ok = False
+    else:
+        ok = isinstance(value, int) or np.isfinite(value) and (kind is float or value.is_integer())
+    if not ok:
+        raise ConfigError(f"[{section}] {name} = {value!r} is not {_TYPE_NAMES[kind]}")
+    return kind(value)
 
 
 def _method_settings(spec: dict):
@@ -193,8 +211,7 @@ def _locf_fill(X: IncompleteMatrix):
             raise ValueError(f"fully missing row {i}")
         idx = np.searchsorted(obs, np.arange(X.n), side="right") - 1
         idx = np.clip(idx, 0, len(obs) - 1)
-        out[i] = X.values[i, obs[idx]]
-        out[i, X.mask[i] == 1] = X.values[i, X.mask[i] == 1]
+        out[i] = X.values[i, obs[idx]]  # an observed entry indexes itself
     return out
 
 

@@ -130,15 +130,9 @@ def _has_never_co_observed_pair(mask) -> bool:
 
 
 def _has_synchronized_rows(miss) -> bool:
-    seen = {}
-    for i in range(miss.shape[0]):
-        key = miss[i].tobytes()
-        if not miss[i].any():
-            continue
-        if key in seen:
-            return True
-        seen[key] = i
-    return False
+    """Whether two rows with holes miss the same set of columns."""
+    patterns = [row.tobytes() for row in miss if row.any()]
+    return len(set(patterns)) < len(patterns)
 
 
 def is_ignorable(kind: MechanismKind, distinct_params: bool) -> bool:

@@ -14,22 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .core import SeedSpec, _parity_halves
-from .em import NU_GRID, EmConfig
-
-
-@cache
-def _nu_log_norm():
-    """log Gamma((nu + 1)/2) - log Gamma(nu/2) on the grid, for the t log
-    density; computed on first use, so that importing gapkit skips scipy."""
-    from scipy.special import gammaln
-
-    return gammaln((NU_GRID + 1.0) / 2.0) - gammaln(NU_GRID / 2.0)
+from .em import NU_GRID, EmConfig, _student_loglik, _texture_weights
 
 
 @dataclass
@@ -62,15 +52,6 @@ class Ar1SaemFit:
     params: Ar1StudentParams
     chains: dict
     n_iter: int
-
-
-def _t_loglik_grid(e, sigma):
-    """Student-t log likelihood of the innovations e, one value per NU_GRID
-    entry."""
-    log_norm = _nu_log_norm() - 0.5 * np.log(NU_GRID * math.pi * sigma**2)
-    q = (e / sigma) ** 2 / NU_GRID[:, None]
-    np.log1p(q, out=q)  # in place: one (grid, n-1) buffer, not two
-    return len(e) * log_norm - 0.5 * (NU_GRID + 1.0) * q.sum(axis=1)
 
 
 def _ols_ar1(x):
@@ -123,10 +104,11 @@ def ar1t_fit_saem(
     ll_grid_smooth = None
     iters = cfg.max_iter
     chains = {k: np.empty(iters) for k in ("mu", "a", "sigma", "nu")}
+    ones = np.ones(n - 1, dtype=int)  # k = 1: each innovation is a 1-D point
     for it in range(1, iters + 1):
         _gibbs_sweep(x, layout, mu, a, sigma, nu, rng)
         e = x[1:] - mu - a * x[:-1]
-        tau = rng.gamma((nu + 1.0) / 2.0, 2.0 / (nu + (e / sigma) ** 2))
+        tau = _texture_weights(nu, 1.0, (e / sigma) ** 2, rng)
         z_prev = x[:-1]
         cur = np.array(
             [
@@ -147,7 +129,8 @@ def ar1t_fit_saem(
         rss = s_yy - 2.0 * beta @ Szy + beta @ Szz @ beta
         sigma = math.sqrt(max(float(rss) / (n - 1), 1e-12))
         if estimate_nu:
-            ll = _t_loglik_grid(x[1:] - mu - a * x[:-1], sigma)
+            delta = ((x[1:] - mu - a * x[:-1]) / sigma) ** 2
+            ll = _student_loglik(ones, delta, (n - 1) * math.log(sigma**2), NU_GRID)
             ll_grid_smooth = cfg.saem_smooth(it, ll_grid_smooth, ll)
             nu = float(NU_GRID[int(np.argmax(ll_grid_smooth))])
         chains["mu"][it - 1] = mu
@@ -207,7 +190,7 @@ def _gibbs_sweep(x, layout, mu, a, sigma, nu, rng):
     if not halves:
         return
     e = x[1:] - mu - a * x[:-1]
-    tau = rng.gamma((nu + 1.0) / 2.0, 2.0 / (nu + (e / sigma) ** 2))
+    tau = _texture_weights(nu, 1.0, (e / sigma) ** 2, rng)
     for t in halves:
         mean, w = _two_sided(x[t - 1], x[t + 1], mu, a, tau[t - 1], tau[t])
         x[t] = mean + sigma * rng.standard_normal(len(t)) / np.sqrt(w)

@@ -265,9 +265,13 @@ def test_csv_and_mask_round_trip_bit_for_bit(cols):
         assert np.isnan(Y.values[~obs]).all()
 
 
-@pytest.mark.parametrize("token", ["inf", "-inf"])
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
 def test_read_matrix_csv_rejects_infinite_value(tmp_path, token):
     path = tmp_path / "x.csv"
     path.write_text(f"1.0,{token}\n2.0,\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="finite value at row 0, column 1"):
         read_matrix_csv(path)
+    # a mask that drops the field does not excuse it
+    (tmp_path / "m.csv").write_text("1,0\n1,0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="finite value at row 0, column 1"):
+        read_matrix_csv(path, tmp_path / "m.csv")

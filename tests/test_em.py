@@ -367,9 +367,10 @@ def test_student_texture_weight_at_center():
     nu = 5.0
     params = StudentTParams([2.0], [[1.0]], nu)
     X = IncompleteMatrix([[2.0]], [[1]])
-    from gapkit.em import _condition_all, _student_stats
+    from gapkit.em import _condition_all, _moments, _texture_weights
 
-    Sw, S1, S2 = _student_stats(nu, X, _condition_all(params.mu, params.sigma, X), None)
+    cond = _condition_all(params.mu, params.sigma, X)
+    Sw, S1, S2 = _moments(X, cond, _texture_weights(nu, cond.k, cond.delta))
     assert_allclose(Sw, (nu + 1) / nu)
 
 
@@ -519,7 +520,7 @@ def test_generator_rejects_negative_radius():
         DensityGenerator(GeneratorKind.GAUSSIAN)(np.array([-1.0]), dim=1)
 
 
-@pytest.mark.parametrize("cfg", [{"max_iter": 0}, {"tol": np.nan}])
+@pytest.mark.parametrize("cfg", [{"max_iter": 0}, {"tol": np.nan}, {"saem_burn_in": -1}])
 def test_em_config_rejects_bad_stopping_rule(cfg):
-    with pytest.raises(ValueError, match="max_iter|tol"):
+    with pytest.raises(ValueError, match="max_iter|tol|saem_burn_in"):
         EmConfig(**cfg)

@@ -435,6 +435,16 @@ def test_gmrf_learn_never_ends_above_a_feasible_warm_start(p, alpha, seed, max_i
     assert end <= start
 
 
+@pytest.mark.parametrize("p, alpha, seed", [(2, 0.0, 3), (4, 0.1, 4), (7, 0.6, 5)])
+def test_gmrf_learn_restarts_from_an_infeasible_warm_start(p, alpha, seed):
+    # the empty graph leaves L + 1 1^T / p singular: the solver spends one
+    # factorization on it, then runs exactly as from its default start
+    S, _rng = _random_moment(p, seed)
+    w0 = np.zeros(p * (p - 1) // 2)
+    assert graph._gmrf_solve(S, alpha, w0)[1] == graph._gmrf_solve(S, alpha)[1] + 1
+    assert gmrf_learn(S, alpha, w0=w0).W.tobytes() == gmrf_learn(S, alpha).W.tobytes()
+
+
 @settings(max_examples=100, deadline=None)
 @given(p=st.integers(2, 8), alpha=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_gmrf_objective_matches_slogdet(p, alpha, seed):

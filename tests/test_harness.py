@@ -94,6 +94,28 @@ def test_config_rejects_keys_nothing_reads(tmp_path, section, line, message):
 
 
 @pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("method = mean", "method = condgauss\nadd_noise = \"no\"", "[method] add_noise = 'no' is not true or false"),
+        ("method = mean", "method = condgauss\nadd_noise = 1", "[method] add_noise = 1 is not true or false"),
+        ("p = 3", "p = 2.7", "[dataset] p = 2.7 is not an integer"),
+        ("p = 3", "p = true", "[dataset] p = True is not an integer"),
+        ("rate = 0.3", "rate = false", "[mechanism] rate = False is not a finite number"),
+        ("rate = 0.3", "rate = NaN", "[mechanism] rate = nan is not a finite number"),
+        ("rho = 0.6", "rho = \"0.6\"", "[dataset] rho = '0.6' is not a finite number"),
+        ("replicates = 3", "replicates = 2.7", "[run] replicates = 2.7 is not an integer"),
+        ("seed = 11", "seed = true", "[run] seed = True is not an integer"),
+    ],
+)
+def test_config_values_must_have_their_defaults_type(tmp_path, old, new, message):
+    # a wrong-typed value would otherwise be converted and run silently
+    text = TEXT_CONFIG.replace(old, new, 1)
+    with pytest.raises(ConfigError) as err:
+        run_experiment(load_config(_write(tmp_path, "c.cfg", text)))
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
     "mechanism, method, message",
     [
         ({"kind": "mar", "rate": 0.3}, {}, "[mechanism] rate is not read under kind = mar"),
