@@ -9,7 +9,7 @@ routine alternates signal recovery with learning both graphs.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -41,12 +41,23 @@ def _laplacian(W: NDArray) -> NDArray:
     return np.diag(W.sum(axis=1)) - W
 
 
-def _adjacency(w: NDArray, iu: NDArray, ju: NDArray, p: int) -> NDArray:
-    """Symmetric p x p adjacency with weight w[k] on edge (iu[k], ju[k])."""
-    W = np.zeros((p, p))
-    W[iu, ju] = w
-    W[ju, iu] = w
-    return W
+# Flat positions in a C-ordered p x p array of the edges (i, j) of
+# np.triu_indices(p, 1): upper i*p+j, lower j*p+i, and the endpoints'
+# diagonal entries i*(p+1) and j*(p+1).
+_Edges = namedtuple("_Edges", "up lo di dj")
+
+
+def _edges(p: int) -> _Edges:
+    iu, ju = np.triu_indices(p, k=1)
+    return _Edges(iu * p + ju, ju * p + iu, iu * (p + 1), ju * (p + 1))
+
+
+def _adjacency(w: NDArray, edges: _Edges, p: int) -> NDArray:
+    """Symmetric p x p adjacency with weight w[k] on edge k of _edges(p)."""
+    W = np.zeros(p * p)
+    W[edges.up] = w
+    W[edges.lo] = w
+    return W.reshape(p, p)
 
 
 def _edge_list(W: NDArray):
@@ -56,9 +67,10 @@ def _edge_list(W: NDArray):
     return iu[keep], ju[keep], W[iu, ju][keep]
 
 
-def _edge_form(M: NDArray, iu: NDArray, ju: NDArray) -> NDArray:
-    """(e_i - e_j)^T M (e_i - e_j) per edge; tr(L S) = w @ _edge_form(S)."""
-    return np.diag(M)[iu] + np.diag(M)[ju] - 2.0 * M[iu, ju]
+def _edge_form(flat: NDArray, off: NDArray, edges: _Edges) -> NDArray:
+    """(e_i - e_j)^T M (e_i - e_j) per edge from M's entries in `flat`, with
+    M[i, j] at `off` (edges.up of a C-ordered M.ravel()); tr(L S) is w @ it."""
+    return flat[edges.di] + flat[edges.dj] - 2.0 * flat[off]
 
 
 def _check_alpha(alpha: float) -> None:
@@ -323,12 +335,12 @@ def recover_tv(Y: IncompleteMatrix, W: NDArray | UndirectedGraph, max_iter: int 
 # ---------------------------------------------------------------------------
 
 
-def _gmrf_objective(w, s_vec, alpha, iu, ju, p):
+def _gmrf_objective(w, s_vec, alpha, edges, p):
     """tr(L S) - log pdet(L) + alpha ||L||_1,off over edge weights w, with
-    s_vec = _edge_form(S). pdet(L) = det(L + 1 1^T / p) for a connected graph;
+    s_vec the edge form of S. pdet(L) = det(L + 1 1^T / p) for a connected graph;
     returns the objective and the upper Cholesky factor of that matrix, or
     (inf, None) when it is not numerically positive definite."""
-    M = _adjacency(w, iu, ju, p)
+    M = _adjacency(w, edges, p)
     deg = M.sum(axis=1)
     if not np.isfinite(deg).all():
         raise ValueError("edge weights must be finite")
@@ -343,19 +355,19 @@ def _gmrf_objective(w, s_vec, alpha, iu, ju, p):
     # A disconnected graph makes M singular, and rounding can leave its last
     # pivot slightly positive instead of failing the factorization; a pivot
     # at rounding level of the largest diagonal entry counts as singular.
-    pivots = np.diag(f)
+    pivots = f.diagonal()
     if pivots.min() ** 2 <= p * p * np.finfo(float).eps * (deg.max() + 1.0 / p):
         return np.inf, None
     logdet = 2.0 * np.sum(np.log(pivots))
     return float(w @ s_vec - logdet + 2.0 * alpha * w.sum()), f
 
 
-def _gmrf_gradient(f, s_vec, alpha, iu, ju):
+def _gmrf_gradient(f, s_vec, alpha, edges):
     """Gradient over w of _gmrf_objective, from the factor it returned. The
-    inverse comes from dpotri, which fills only the upper triangle, the part
-    _edge_form reads."""
+    inverse comes from dpotri in Fortran order and fills only its upper
+    triangle, whose (i, j) entry sits at edges.lo of inv.T.ravel()."""
     inv, _info = _lapack().dpotri(f)
-    return s_vec - _edge_form(inv, iu, ju) + 2.0 * alpha
+    return s_vec - _edge_form(inv.T.ravel(), edges.lo, edges) + 2.0 * alpha
 
 
 # gmrf_learn's nonmonotone line search: how many objective values it
@@ -377,16 +389,16 @@ def _gmrf_solve(S, alpha, w0=None, max_iter=2000, tol=1e-10):
         raise ValueError("S must be a symmetric matrix")
     if np.abs(S).max() == 0:
         raise ValueError("all-zero second-moment matrix")
-    iu, ju = np.triu_indices(p, k=1)
-    s_vec = _edge_form(S, iu, ju)
-    w = np.full(len(iu), 1.0 / p) if w0 is None else np.maximum(w0, 0.0)
-    obj, f = _gmrf_objective(w, s_vec, alpha, iu, ju, p)
+    edges = _edges(p)
+    s_vec = _edge_form(S.ravel(), edges.up, edges)
+    w = np.full(len(s_vec), 1.0 / p) if w0 is None else np.maximum(w0, 0.0)
+    obj, f = _gmrf_objective(w, s_vec, alpha, edges, p)
     factorizations, steps = 1, 0
     if f is None:  # infeasible warm start: restart from the complete graph
-        w = np.full(len(iu), 1.0 / p)
-        obj, f = _gmrf_objective(w, s_vec, alpha, iu, ju, p)
+        w = np.full(len(s_vec), 1.0 / p)
+        obj, f = _gmrf_objective(w, s_vec, alpha, edges, p)
         factorizations += 1
-    grad = _gmrf_gradient(f, s_vec, alpha, iu, ju)
+    grad = _gmrf_gradient(f, s_vec, alpha, edges)
     step = 1.0 / max(np.abs(grad).max(), 1.0)
     recent = deque([obj], maxlen=_NM_MEMORY)
     best, best_obj = w, obj
@@ -396,7 +408,7 @@ def _gmrf_solve(S, alpha, w0=None, max_iter=2000, tol=1e-10):
         t = 1.0
         for _bt in range(60):
             w_new = w + t * d
-            obj_new, f_new = _gmrf_objective(w_new, s_vec, alpha, iu, ju, p)
+            obj_new, f_new = _gmrf_objective(w_new, s_vec, alpha, edges, p)
             factorizations += 1
             if obj_new <= bound + t * slope:
                 break
@@ -404,7 +416,7 @@ def _gmrf_solve(S, alpha, w0=None, max_iter=2000, tol=1e-10):
         else:
             break
         steps += 1
-        grad_new = _gmrf_gradient(f_new, s_vec, alpha, iu, ju)
+        grad_new = _gmrf_gradient(f_new, s_vec, alpha, edges)
         dw, dg = w_new - w, grad_new - grad
         denom = float(dw @ dg)
         if denom > 1e-300:  # Barzilai-Borwein step, clipped
@@ -442,7 +454,7 @@ def gmrf_learn(
     """
     w = _gmrf_solve(S, alpha, w0, max_iter, tol)[0]
     p = len(S)
-    return UndirectedGraph(_adjacency(w, *np.triu_indices(p, k=1), p))
+    return UndirectedGraph(_adjacency(w, _edges(p), p))
 
 
 _CD_MAX_SWEEPS = 10_000
@@ -515,13 +527,13 @@ class StsrglResult:
     gmrf_steps: NDArray
 
 
-def _stsrgl_objective(X, A, w, Yz, mask, sigma_n2, alpha_a, alpha_l):
+def _stsrgl_objective(X, A, w, edges, Yz, mask, sigma_n2, alpha_a, alpha_l):
     p, n = X.shape
-    iu, ju = np.triu_indices(p, k=1)
     resid = np.where(mask == 1, Yz - X, 0.0)
     fid = float(np.sum(resid**2)) / (2.0 * sigma_n2)
     E = _innovations(X, A)
-    gmrf, _ = _gmrf_objective(w, _edge_form(E @ E.T / n, iu, ju), alpha_l, iu, ju, p)
+    s_vec = _edge_form((E @ E.T / n).ravel(), edges.up, edges)
+    gmrf, _ = _gmrf_objective(w, s_vec, alpha_l, edges, p)
     return fid + 0.5 * n * gmrf + alpha_a * float(np.abs(A).sum())
 
 
@@ -599,14 +611,14 @@ def stsrgl_fit(
     Dw = Y.mask / sigma_n2
     B0 = Dw * Yz
     A = np.zeros((p, p))
-    iu, ju = np.triu_indices(p, k=1)
+    edges = _edges(p)
 
     E = _innovations(X, A)
     w, *counts = _gmrf_solve(E @ E.T / n, alpha_l, max_iter=gmrf_iters)
     learner = [counts]
-    trace = [_stsrgl_objective(X, A, w, Yz, Y.mask, sigma_n2, alpha_a, alpha_l)]
+    trace = [_stsrgl_objective(X, A, w, edges, Yz, Y.mask, sigma_n2, alpha_a, alpha_l)]
     for _cycle in range(iters):
-        L = _laplacian(_adjacency(w, iu, ju, p))
+        L = _laplacian(_adjacency(w, edges, p))
         # (a) signal given the graphs
         _signal_pcg(X, L, A, Dw, B0, x_sweeps)
         # (b) directed adjacency: proximal-gradient steps on the weighted fit
@@ -620,7 +632,7 @@ def stsrgl_fit(
         E = _innovations(X, A)
         w, *counts = _gmrf_solve(E @ E.T / n, alpha_l, w0=w, max_iter=gmrf_iters)
         learner.append(counts)
-        obj = _stsrgl_objective(X, A, w, Yz, Y.mask, sigma_n2, alpha_a, alpha_l)
+        obj = _stsrgl_objective(X, A, w, edges, Yz, Y.mask, sigma_n2, alpha_a, alpha_l)
         if obj > trace[-1] + 1e-8 * (1.0 + abs(trace[-1])):
             raise RuntimeError(
                 f"joint objective increased ({trace[-1]:.6g} -> {obj:.6g}); solver bug"
@@ -628,5 +640,5 @@ def stsrgl_fit(
         trace.append(obj)
     factorizations, steps = np.array(learner).T
     return StsrglResult(
-        X, DirectedGraph(A), UndirectedGraph(_adjacency(w, iu, ju, p)), np.array(trace), factorizations, steps
+        X, DirectedGraph(A), UndirectedGraph(_adjacency(w, edges, p)), np.array(trace), factorizations, steps
     )

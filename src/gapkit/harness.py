@@ -159,14 +159,19 @@ _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a finite number
 
 def _typed(section, name, value, default):
     """value as its default's type: true/false for a bool, an integral number
-    for an int, a finite number for a float; a bool is never a number."""
+    for an int, a number of finite float value for a float; a bool is never a number."""
     kind = type(default)
     if kind is bool or kind is str:
         ok = isinstance(value, kind)
     elif isinstance(value, bool) or not isinstance(value, (int, float)):
         ok = False
     else:
-        ok = isinstance(value, int) or np.isfinite(value) and (kind is float or value.is_integer())
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = np.inf
+        integral = kind is float or number.is_integer()
+        ok = kind is int and isinstance(value, int) or np.isfinite(number) and integral
     if not ok:
         raise ConfigError(f"[{section}] {name} = {value!r} is not {_TYPE_NAMES[kind]}")
     return kind(value)

@@ -90,8 +90,7 @@ def petrels_weights(U: NDArray, y_t: NDArray, m_t: NDArray):
     r = U.shape[1]
     if len(obs) == 0:
         return np.zeros(r), True
-    A = U[obs]
-    w, _res, rank, _sv = np.linalg.lstsq(A, np.asarray(y_t, dtype=float)[obs], rcond=None)
+    w, _res, rank, _sv = np.linalg.lstsq(U[obs], np.asarray(y_t, dtype=float)[obs], rcond=None)
     return w, bool(rank < r)
 
 
@@ -109,8 +108,9 @@ def _rls_row_updates(state, obs, y_t, w, weight=1.0):
     # The outer product is formed before the weight multiplies it, so Rinv_new
     # stays exactly symmetric for any weight (eigvalsh reads one triangle).
     Rinv_new = (Rinv - v[:, :, None] * v[:, None, :] * weight / denom[:, None, None]) / lam
-    resid = y_t[obs] - state.U[obs] @ w
-    state.U[obs] += weight * resid[:, None] * (Rinv_new @ w)
+    U_o = state.U[obs]
+    resid = y_t[obs] - U_o @ w
+    state.U[obs] = U_o + weight * resid[:, None] * (Rinv_new @ w)
     eig = np.linalg.eigvalsh(Rinv_new)
     bad = (eig[:, -1] > CONDITION_CAP * np.maximum(eig[:, 0], 1e-300)) | (eig[:, 0] <= 0)
     if bad.any():
@@ -147,6 +147,35 @@ def _pinv(A):
     return vt.T @ (s[:, None] * u.T)
 
 
+def _stage1(A, y_o, cfg, iterates=None):
+    """robust_stage1's loop on the observed rows A = U[obs], y_o = y_t[obs].
+
+    Returns (w, s_o, iterations run, converged). When ``iterates`` is a list,
+    each iteration's clipped residual and outlier vector are appended to it.
+    """
+    pinv = _pinv(A)
+    s_o = np.zeros(len(y_o))
+    half, neg_half, tol = cfg.rho / 2.0, -cfg.rho / 2.0, cfg.admm_tol
+    minimum, maximum, absolute, max_of = np.minimum, np.maximum, np.absolute, np.maximum.reduce
+    converged = False
+    for iters in range(1, cfg.admm_iters + 1):
+        w = pinv @ (y_o - s_o)
+        resid = y_o - A @ w
+        # Soft-thresholding as resid minus its clipped part: the clipped part
+        # is the fit residual A w + s_new - y_o up to sign, so the objective
+        # needs no further matrix product.
+        inner = minimum(maximum(resid, neg_half), half)
+        s_new = resid - inner
+        if iterates is not None:
+            iterates.append((inner, s_new))
+        delta = max_of(absolute(s_new - s_o))
+        s_o = s_new
+        if delta < tol:
+            converged = True
+            break
+    return pinv @ (y_o - s_o), s_o, iters, converged
+
+
 def robust_stage1(U: NDArray, y_t: NDArray, m_t: NDArray, cfg: RobustConfig) -> Stage1Result:
     """Alternating minimization of the outlier-plus-weights objective.
 
@@ -158,42 +187,18 @@ def robust_stage1(U: NDArray, y_t: NDArray, m_t: NDArray, cfg: RobustConfig) -> 
 
     The objective trace is taken once after the loop, from the stacked
     per-iteration clipped residuals and outliers; it equals the
-    per-iteration formula up to rounding (relative 1e-12).
+    per-iteration formula up to rounding (relative 1e-12). The tracking step
+    runs the same loop without forming the trace or the length-p ``s``.
     """
     y_t = np.asarray(y_t, dtype=float)
     obs = np.flatnonzero(np.asarray(m_t) == 1)
-    p, r = U.shape
-    s = np.zeros(p)
+    s = np.zeros(U.shape[0])
     if len(obs) == 0:
-        return Stage1Result(np.zeros(r), s, True, np.zeros(1))
-    A = U[obs]
-    pinv = _pinv(A)
-    y_o = y_t[obs]
-    s_o = np.zeros(len(obs))
-    half, tol = cfg.rho / 2.0, cfg.admm_tol
-    neg_half = -half
-    minimum, maximum, absolute, max_of = np.minimum, np.maximum, np.absolute, np.maximum.reduce
-    inners, outliers = [], []
-    converged = False
-    for _ in range(cfg.admm_iters):
-        w = pinv @ (y_o - s_o)
-        resid = y_o - A @ w
-        # Soft-thresholding as resid minus its clipped part: the clipped part
-        # is the fit residual A w + s_new - y_o up to sign, so the objective
-        # needs no further matrix product.
-        inner = minimum(maximum(resid, neg_half), half)
-        s_new = resid - inner
-        inners.append(inner)
-        outliers.append(s_new)
-        delta = max_of(absolute(s_new - s_o))
-        s_o = s_new
-        if delta < tol:
-            converged = True
-            break
-    w = pinv @ (y_o - s_o)
-    s[obs] = s_o
-    inners, outliers = np.array(inners), np.array(outliers)
-    trace = (inners * inners).sum(axis=1) + cfg.rho * absolute(outliers).sum(axis=1)
+        return Stage1Result(np.zeros(U.shape[1]), s, True, np.zeros(1))
+    iterates = []
+    w, s[obs], _iters, converged = _stage1(U[obs], y_t[obs], cfg, iterates)
+    inners, outliers = np.array(iterates).transpose(1, 0, 2)
+    trace = (inners * inners).sum(axis=1) + cfg.rho * np.absolute(outliers).sum(axis=1)
     return Stage1Result(w, s, converged, trace)
 
 
@@ -208,18 +213,16 @@ def robust_update(
     the largest rows toward a common bound.
     """
     y_t = np.asarray(y_t, dtype=float)
-    observed = np.asarray(m_t) == 1
-    stage1 = robust_stage1(state.U, y_t, m_t, cfg)
-    if np.count_nonzero(observed):  # an all-masked step runs no stage-1 iteration
-        state.stage1_iters += len(stage1.objective_trace)
-    if not stage1.converged:
-        state.stage1_unconverged += 1
-    obs = np.flatnonzero(observed & (np.abs(stage1.s) <= OUTLIER_SUPPORT_TOL))
+    obs = np.flatnonzero(np.asarray(m_t) == 1)
+    if len(obs):  # an all-masked step runs no stage-1 iteration
+        w, s_o, iters, converged = _stage1(state.U[obs], y_t[obs], cfg)
+        state.stage1_iters += iters
+        state.stage1_unconverged += not converged
+        obs = obs[np.abs(s_o) <= OUTLIER_SUPPORT_TOL]
     if len(obs) == 0:
         state.t += 1
         return state
-    weight = len(obs) / state.p
-    state = _rls_row_updates(state, obs, y_t, stage1.w, weight=weight)
+    state = _rls_row_updates(state, obs, y_t, w, weight=len(obs) / state.p)
     if cfg.alpha_reg > 0:
         _clip_row_norms(state.U, cfg.alpha_reg / max(state.t, 1))
     return state
@@ -233,17 +236,10 @@ def _clip_row_norms(U, penalty):
     descending row norms g.
     """
     g = np.linalg.norm(U, axis=1)
-    order = np.argsort(-g)
-    gs = g[order]
-    csum = np.cumsum(gs)
-    bound = gs[0]
-    for k in range(1, len(gs) + 1):
-        b_k = csum[k - 1] / (penalty + k)
-        if k == len(gs) or b_k >= gs[k]:
-            bound = b_k
-            break
+    gs = -np.sort(-g)
+    # b[k-1] clips the k largest rows; the scan stops at the first k whose
+    # bound reaches the next row norm, or at the last row
+    b = np.cumsum(gs) / (penalty + np.arange(1, len(gs) + 1))
+    bound = b[np.argmax(np.append(b[:-1] >= gs[1:], True))]
     over = g > bound
-    if over.any():
-        scale = np.ones_like(g)
-        scale[over] = bound / np.maximum(g[over], 1e-300)
-        U *= scale[:, None]
+    U[over] *= (bound / np.maximum(g[over], 1e-300))[:, None]

@@ -23,7 +23,7 @@ from gapkit.graph import (
     var_learn,
 )
 from gapkit import graph
-from gapkit.graph import _edge_form, _gmrf_gradient, _gmrf_objective, _signal_pcg
+from gapkit.graph import _edge_form, _edges, _gmrf_gradient, _gmrf_objective, _signal_pcg
 
 PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
@@ -400,10 +400,11 @@ def _gmrf_dense(S, alpha, w):
     W[iu, ju] = w
     W += W.T
     M = np.diag(W.sum(axis=1)) - W + 1.0 / p
-    s_vec = _edge_form(S, iu, ju)
+    edges = _edges(p)
+    s_vec = _edge_form(S.ravel(), edges.up, edges)
     sign, logdet = np.linalg.slogdet(M)
     assert sign > 0
-    grad = s_vec - _edge_form(np.linalg.inv(M), iu, ju) + 2.0 * alpha
+    grad = s_vec - _edge_form(np.linalg.inv(M).ravel(), edges.up, edges) + 2.0 * alpha
     return w @ s_vec - logdet + 2.0 * alpha * w.sum(), grad
 
 
@@ -427,11 +428,12 @@ def test_gmrf_learn_never_ends_above_a_feasible_warm_start(p, alpha, seed, max_i
     # it returns may not
     S, rng = _random_moment(p, seed)
     iu, ju = np.triu_indices(p, k=1)
-    s_vec = _edge_form(S, iu, ju)
+    edges = _edges(p)
+    s_vec = _edge_form(S.ravel(), edges.up, edges)
     w0 = rng.uniform(0.05, 2.0, len(iu))
     w = gmrf_learn(S, alpha, w0=w0, max_iter=max_iter).W[iu, ju]
-    start, _ = _gmrf_objective(w0, s_vec, alpha, iu, ju, p)
-    end, _ = _gmrf_objective(w, s_vec, alpha, iu, ju, p)
+    start, _ = _gmrf_objective(w0, s_vec, alpha, edges, p)
+    end, _ = _gmrf_objective(w, s_vec, alpha, edges, p)
     assert end <= start
 
 
@@ -452,7 +454,8 @@ def test_gmrf_objective_matches_slogdet(p, alpha, seed):
     iu, ju = np.triu_indices(p, k=1)
     w = rng.uniform(0.0, 3.0, len(iu)) * (rng.random(len(iu)) < 0.7)
     w[ju == iu + 1] += 0.1  # a path keeps the graph connected
-    obj, f = _gmrf_objective(w, _edge_form(S, iu, ju), alpha, iu, ju, p)
+    edges = _edges(p)
+    obj, f = _gmrf_objective(w, _edge_form(S.ravel(), edges.up, edges), alpha, edges, p)
     dense, _ = _gmrf_dense(S, alpha, w)
     assert f is not None
     assert abs(obj - dense) <= 1e-12 * max(abs(dense), 1.0)
@@ -469,15 +472,14 @@ def test_gmrf_objective_rejects_disconnected_weights(p, seed):
     group[rng.permutation(p)[: rng.integers(1, p)]] = 1
     w = 10.0 ** rng.uniform(-3.0, 3.0, len(iu)) * (group[iu] == group[ju])
     s_vec = rng.uniform(0.0, 2.0, len(iu))
-    obj, f = _gmrf_objective(w, s_vec, 0.1, iu, ju, p)
+    obj, f = _gmrf_objective(w, s_vec, 0.1, _edges(p), p)
     assert obj == np.inf and f is None
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
 def test_gmrf_objective_rejects_non_finite_weights(bad):
-    iu, ju = np.triu_indices(3, k=1)
     with pytest.raises(ValueError):
-        _gmrf_objective(np.array([1.0, bad, 1.0]), np.ones(3), 0.1, iu, ju, 3)
+        _gmrf_objective(np.array([1.0, bad, 1.0]), np.ones(3), 0.1, _edges(3), 3)
 
 
 def test_var_noiseless_recovery():
@@ -906,19 +908,19 @@ def test_iteration_counts_below_one_are_rejected(make):
 @given(p=st.integers(2, 6), alpha=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_gmrf_gradient_matches_central_differences(p, alpha, seed):
     rng = np.random.default_rng(seed)
-    iu, ju = np.triu_indices(p, k=1)
+    edges = _edges(p)
     Z = rng.standard_normal((p, 3 * p))
-    s_vec = _edge_form(Z @ Z.T / Z.shape[1], iu, ju)
-    w = rng.uniform(0.1, 2.0, len(iu))
-    obj, f = _gmrf_objective(w, s_vec, alpha, iu, ju, p)
-    grad = _gmrf_gradient(f, s_vec, alpha, iu, ju)
+    s_vec = _edge_form((Z @ Z.T / Z.shape[1]).ravel(), edges.up, edges)
+    w = rng.uniform(0.1, 2.0, len(s_vec))
+    obj, f = _gmrf_objective(w, s_vec, alpha, edges, p)
+    grad = _gmrf_gradient(f, s_vec, alpha, edges)
     h = 1e-5
     fd = np.empty_like(w)
     for k in range(len(w)):
         e = np.zeros_like(w)
         e[k] = h
-        up = _gmrf_objective(w + e, s_vec, alpha, iu, ju, p)[0]
-        down = _gmrf_objective(w - e, s_vec, alpha, iu, ju, p)[0]
+        up = _gmrf_objective(w + e, s_vec, alpha, edges, p)[0]
+        down = _gmrf_objective(w - e, s_vec, alpha, edges, p)[0]
         fd[k] = (up - down) / (2.0 * h)
     assert np.isfinite(obj)
     assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)

@@ -103,6 +103,9 @@ def test_config_rejects_keys_nothing_reads(tmp_path, section, line, message):
         ("rate = 0.3", "rate = false", "[mechanism] rate = False is not a finite number"),
         ("rate = 0.3", "rate = NaN", "[mechanism] rate = nan is not a finite number"),
         ("rho = 0.6", "rho = \"0.6\"", "[dataset] rho = '0.6' is not a finite number"),
+        # an int beyond the float range is no finite number
+        pytest.param("rho = 0.6", "rho = 1" + "0" * 400, "[dataset] rho = 1" + "0" * 400 + " is not a finite number",
+                     id="rho-int-overflow"),
         ("replicates = 3", "replicates = 2.7", "[run] replicates = 2.7 is not an integer"),
         ("seed = 11", "seed = true", "[run] seed = True is not an integer"),
     ],

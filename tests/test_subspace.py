@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gapkit.core import SeedSpec, sep
@@ -431,3 +433,76 @@ def test_tracking_steps_match_reference_bit_for_bit():
         assert np.array_equal(lib.row_prec, ref.row_prec)
         assert (lib.t, lib.reinit_count) == (ref.t, ref.reinit_count)
         assert ref.t == len(steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(2, 30), r=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+    miss=st.floats(0.0, 0.9), spikes=st.floats(0.0, 0.5), rho=st.floats(1e-6, 10.0),
+    alpha_reg=st.sampled_from([0.0, 0.3, 5.0]), lambda_forget=st.floats(0.3, 1.0),
+    admm_iters=st.integers(1, 50),
+)
+def test_tracking_steps_match_reference_on_drawn_streams(
+    p, r, seed, miss, spikes, rho, alpha_reg, lambda_forget, admm_iters
+):
+    r = min(r, p)
+    rng = np.random.default_rng(seed)
+    U_true = _basis(p, r, seed)
+    cfg = RobustConfig(rho=rho, alpha_reg=alpha_reg, admm_iters=admm_iters)
+    lib_rob, ref_rob, lib_pl, ref_pl = (petrels_init(p, r, SeedSpec(seed), lambda_forget) for _ in range(4))
+    iters = unconverged = all_flagged = 0
+    for t in range(25):
+        y = U_true @ rng.standard_normal(r) + 0.1 * rng.standard_normal(p)
+        y += (rng.random(p) < spikes) * rng.choice([-8.0, 8.0], p)
+        m = (rng.random(p) >= miss).astype(int)
+        step_cfg = cfg
+        if t == 3:
+            m[:] = 0
+        elif t == 6 and p > r:
+            # A tiny rho leaves every row off the subspace with an outlier.
+            y, m, step_cfg = 1e3 * rng.standard_normal(p), np.ones(p, dtype=int), RobustConfig(rho=1e-6)
+        res = robust_stage1(lib_rob.U, y, m, step_cfg)
+        w, s = _ref_stage1(lib_rob.U, y, m, step_cfg)
+        assert res.w.tobytes() == w.tobytes() and res.s.tobytes() == s.tobytes()
+        iters += len(res.objective_trace) if m.any() else 0
+        unconverged += not res.converged
+        robust_update(lib_rob, y, m, step_cfg)
+        all_flagged += _ref_robust_update(ref_rob, y, m, step_cfg)
+        petrels_update(lib_pl, y, m)
+        _ref_petrels_update(ref_pl, y, m)
+    assert all_flagged >= (p > r)
+    assert (lib_rob.stage1_iters, lib_rob.stage1_unconverged) == (iters, unconverged)
+    for lib, ref in ((lib_rob, ref_rob), (lib_pl, ref_pl)):
+        assert lib.U.tobytes() == ref.U.tobytes()
+        assert lib.row_prec.tobytes() == ref.row_prec.tobytes()
+        assert (lib.t, lib.reinit_count) == (ref.t, ref.reinit_count)
+        assert ref.t == 25
+
+
+def _ref_clip_row_norms(U, penalty):
+    """The water-filling scan as a loop over descending row norms."""
+    g = np.linalg.norm(U, axis=1)
+    gs = g[np.argsort(-g)]
+    csum = np.cumsum(gs)
+    for k in range(1, len(gs) + 1):
+        bound = csum[k - 1] / (penalty + k)
+        if k == len(gs) or bound >= gs[k]:
+            break
+    over = g > bound
+    scale = np.ones_like(g)
+    scale[over] = bound / np.maximum(g[over], 1e-300)
+    U *= scale[:, None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(1, 30), r=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+       penalty=st.floats(1e-8, 1e6), ties=st.booleans())
+def test_clip_row_norms_matches_loop_reference_bit_for_bit(p, r, seed, penalty, ties):
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((p, r)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if ties:
+        U[: (p + 1) // 2] = U[0]
+    ref = U.copy()
+    _ref_clip_row_norms(ref, penalty)
+    _clip_row_norms(U, penalty)
+    assert U.tobytes() == ref.tobytes()
