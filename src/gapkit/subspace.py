@@ -17,6 +17,7 @@ from .core import SeedSpec
 
 PRECISION_INIT = 1e3
 CONDITION_CAP = 1e12
+_Q2 = ((CONDITION_CAP - 2) / (CONDITION_CAP + 2)) ** 2  # q^2, q = (CAP/2 - 1) / (CAP/2 + 1)
 OUTLIER_SUPPORT_TOL = 1e-10
 
 
@@ -98,27 +99,41 @@ def _rls_row_updates(state, obs, y_t, w, weight=1.0):
     """Weighted forgetting-RLS update of the observed rows of U.
 
     Precision recursion R_i <- lam * R_i + weight * w w^T applied in inverse
-    form; rows whose inverse precision becomes ill-conditioned are reset to
-    the warm start and counted.
+    form. Rows where eigvalsh gives lam_max > CONDITION_CAP * max(lam_min,
+    1e-300) or lam_min <= 0 are reset to the warm start and counted. A row
+    with trace T in (1e-100, 1e100) (no overflow, no subnormals) and sqrt(F)
+    <= c T, F its sum of squares, skips eigvalsh: by the trace bounds of
+    Wolkowicz & Styan (LAA 1980) its condition number is <= CAP / 2.
     """
     lam = state.lambda_forget
     Rinv = state.row_prec[obs]
     v = Rinv @ w  # (k, r)
     denom = lam + weight * (v @ w)  # (k,)
     # The outer product is formed before the weight multiplies it, so Rinv_new
-    # stays exactly symmetric for any weight (eigvalsh reads one triangle).
+    # stays exactly symmetric for any weight (eigvalsh reads one triangle, the trace test both).
     Rinv_new = (Rinv - v[:, :, None] * v[:, None, :] * weight / denom[:, None, None]) / lam
     U_o = state.U[obs]
     resid = y_t[obs] - U_o @ w
     state.U[obs] = U_o + weight * resid[:, None] * (Rinv_new @ w)
-    eig = np.linalg.eigvalsh(Rinv_new)
-    bad = (eig[:, -1] > CONDITION_CAP * np.maximum(eig[:, 0], 1e-300)) | (eig[:, 0] <= 0)
-    if bad.any():
-        Rinv_new[bad] = PRECISION_INIT * np.eye(state.r)
-        state.reinit_count += int(bad.sum())
+    reset = _rows_to_reset(Rinv_new)
+    if n_reset := np.count_nonzero(reset):
+        Rinv_new[reset] = PRECISION_INIT * np.eye(state.r)
+        state.reinit_count += n_reset
     state.row_prec[obs] = Rinv_new
     state.t += 1
     return state
+
+
+def _rows_to_reset(R):
+    """Mask of the rows of a symmetric (k, r, r) stack that the RLS step resets."""
+    r, T, F = R.shape[-1], np.einsum("kii->k", R), np.einsum("kij,kij->k", R, R)
+    # lam in m -+ d sqrt(r - 1), m = T / r, d^2 = F / r - m^2; CAP / 2 leaves rounding a factor 2
+    c = ((_Q2 + r - 1) / ((r - 1) * r)) ** 0.5 if r > 1 else 2.0  # r = 1: sqrt(F) = T
+    reset = ~((T > 1e-100) & (T < 1e100) & (np.sqrt(F) <= c * T))  # NaN is not clear
+    if np.count_nonzero(reset):
+        eig = np.linalg.eigvalsh(R[reset])
+        reset[reset] = (eig[:, -1] > CONDITION_CAP * np.maximum(eig[:, 0], 1e-300)) | (eig[:, 0] <= 0)
+    return reset
 
 
 def petrels_update(state: TrackerState, y_t: NDArray, m_t: NDArray) -> TrackerState:
