@@ -56,7 +56,6 @@ from .graph import (
     SmoothnessKind,
     UndirectedGraph,
     gmrf_learn,
-    huber_fidelity,
     recover_tikhonov,
     recover_tv,
     smoothness,

@@ -325,19 +325,19 @@ def track_cmd(ctx, stream, mode, rank, forget, rho, alpha, truth, seed, out):
     # One row per step, built once: a step must not copy the whole stream.
     steps = zip(np.ascontiguousarray(Y.filled(0.0).T), np.ascontiguousarray(Y.mask.T))
     lines = ["t,residual" + (",sep" if U_true is not None else "")]
-    for t, (y_t, m_t) in enumerate(steps):
-        if mode == "petrels":
-            petrels_update(state, y_t, m_t)
-        else:
-            robust_update(state, y_t, m_t, cfg)
-        # Not a repeat of the solve inside the update: the residual is taken
-        # under the updated basis.
-        w, _ = petrels_weights(state.U, y_t, m_t)
-        resid = np.linalg.norm(m_t * (y_t - state.U @ w))
-        row = f"{t},{format_float(resid)}"
-        if U_true is not None:
-            row += f",{format_float(sep(state.U, U_true))}"
-        lines.append(row)
+    with np.errstate(over="raise"):  # an overflow in the tracker is a numerical failure
+        for t, (y_t, m_t) in enumerate(steps):
+            if mode == "petrels":
+                petrels_update(state, y_t, m_t)
+            else:
+                robust_update(state, y_t, m_t, cfg)
+            # the residual under the updated basis, not a repeat of the update's solve
+            w, _ = petrels_weights(state.U, y_t, m_t)
+            resid = np.linalg.norm(m_t * (y_t - state.U @ w))
+            row = f"{t},{format_float(resid)}"
+            if U_true is not None:
+                row += f",{format_float(sep(state.U, U_true))}"
+            lines.append(row)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -91,6 +91,11 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _check_tol(tol) -> None:
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
+
+
 def _check_reachable(W: NDArray, observed: NDArray) -> None:
     """ValueError unless a path of edges joins each node to an observed node of
     its column: reach |= (W > 0) @ reach to a fixed point from the mask."""
@@ -186,8 +191,7 @@ class RecoveryConfig:
         if not 0 < self.delta < np.inf:
             raise ValueError("delta must be positive and finite")
         _check_count("max_iter", self.max_iter, 1)
-        if not 0 <= self.tol < np.inf:
-            raise ValueError(f"tol must be nonnegative and finite, got {self.tol!r}")
+        _check_tol(self.tol)
 
 
 def smoothness(X: NDArray, W: NDArray, kind: SmoothnessKind, p_norm: int = 2) -> float:
@@ -208,17 +212,6 @@ def smoothness(X: NDArray, W: NDArray, kind: SmoothnessKind, p_norm: int = 2) ->
         raise ValueError("directed variation needs a nonzero adjacency")
     V = X - (W @ X) / norm_W
     return float(np.sum(np.abs(V) ** p_norm))
-
-
-def huber_fidelity(X: NDArray, Y: NDArray, M: NDArray, delta: float) -> float:
-    """Sum of Huber losses of the observed residuals."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    resid = np.where(np.asarray(M) == 1, np.asarray(Y, float) - np.asarray(X, float), 0.0)
-    a = np.abs(resid)
-    quad = 0.5 * resid**2
-    lin = delta * (a - delta / 2.0)
-    return float(np.sum(np.where(a <= delta, quad, lin)))
 
 
 def recover_tikhonov(
@@ -376,11 +369,13 @@ _NM_MEMORY = 10
 _NM_ARMIJO = 1e-4
 
 
-def _gmrf_solve(S, alpha, w0=None, max_iter=2000, tol=1e-10):
-    """gmrf_learn's solver. Returns the best edge weights over the pairs of
+def _gmrf_solve(S, alpha, w0=None, max_iter=2000, tol=1e-7):
+    """gmrf_learn's solver. Returns the edge weights over the pairs of
     np.triu_indices(p, 1), the number of factorizations (objective
     evaluations) and the number of accepted steps."""
     _check_alpha(alpha)
+    _check_count("max_iter", max_iter, 0)
+    _check_tol(tol)
     S = np.asarray(S, dtype=float)
     if not np.isfinite(S).all():
         raise ValueError("S must be finite, without NaN or inf entries")
@@ -403,6 +398,10 @@ def _gmrf_solve(S, alpha, w0=None, max_iter=2000, tol=1e-10):
     recent = deque([obj], maxlen=_NM_MEMORY)
     best, best_obj = w, obj
     for _ in range(max_iter):
+        # projected-gradient residual: P(w - g) - w = -min(w, g) on w >= 0
+        r = np.minimum(w, grad)
+        if max(r.max(), -r.min()) <= tol * (1.0 + w.max()):
+            return w, factorizations, steps
         d = np.maximum(w - step * grad, 0.0) - w
         bound, slope = max(recent), _NM_ARMIJO * float(grad @ d)
         t = 1.0
@@ -425,8 +424,6 @@ def _gmrf_solve(S, alpha, w0=None, max_iter=2000, tol=1e-10):
         recent.append(obj_new)
         if obj_new < best_obj:
             best, best_obj = w, obj_new
-        if np.abs(dw).max() < tol * (1.0 + np.abs(w).max()):
-            break
     return best, factorizations, steps
 
 
@@ -435,7 +432,7 @@ def gmrf_learn(
     alpha: float,
     w0: NDArray | None = None,
     max_iter: int = 2000,
-    tol: float = 1e-10,
+    tol: float = 1e-7,
 ) -> UndirectedGraph:
     """Penalized Laplacian estimation from a sample second-moment matrix.
 
@@ -446,11 +443,13 @@ def gmrf_learn(
     projection onto w >= 0 and lam the clipped Barzilai-Borwein step, halving
     t until f(w + t d) <= max(last 10 f) + 1e-4 t g^T d. A trial is scored by
     its Cholesky factor alone; the inverse behind the gradient is formed only
-    at the start point and at accepted steps. The iteration stops when an
-    accepted move changes no weight by tol * (1 + max w) or more, after
-    max_iter steps, or when 60 halvings find no acceptable trial; the best
-    iterate seen is returned, so the objective never ends above its value at
-    a feasible warm start w0.
+    at the start point and at accepted steps. It stops at stationarity, when
+    the projected-gradient residual max|P(w - g) - w| = max|min(w, g)| is at
+    most tol * (1 + max w), and returns the iterate that passed (a warm start
+    that passes costs one factorization); after max_iter steps, or when 60
+    halvings find no acceptable trial, it returns the best iterate seen.
+    Accepted steps end below the largest remembered objective, so the result
+    never ends above the objective of a feasible warm start w0.
     """
     w = _gmrf_solve(S, alpha, w0, max_iter, tol)[0]
     p = len(S)
@@ -625,9 +624,11 @@ def stsrgl_fit(
         C1 = X[:, 1:] @ X[:, :-1].T
         C0 = X[:, :-1] @ X[:, :-1].T
         step = 1.0 / max(np.linalg.eigvalsh(L)[-1] * np.linalg.eigvalsh(C0)[-1], 1e-12)
+        # a Python float product goes to inf without numpy's overflow warning
+        thresh = float(step) * alpha_a
         for _ in range(a_steps):  # gradient -L (C1 - A C0), then soft threshold
             A = A + step * (L @ (C1 - A @ C0))
-            A = np.sign(A) * np.maximum(np.abs(A) - step * alpha_a, 0.0)
+            A = np.sign(A) * np.maximum(np.abs(A) - thresh, 0.0)
         # (c) Laplacian on the innovation second moments (warm start)
         E = _innovations(X, A)
         w, *counts = _gmrf_solve(E @ E.T / n, alpha_l, w0=w, max_iter=gmrf_iters)

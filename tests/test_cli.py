@@ -432,6 +432,22 @@ def _write_stream(tmp_path, n, seed=8, p=12, r=2):
     return stream, U
 
 
+@pytest.mark.parametrize("alpha", ["1e200", "1e300"])
+def test_track_overflow_exit_4(runner, tmp_path, alpha):
+    # a huge row-norm penalty clips the basis to subnormal rows; the next
+    # step's least-squares weights then overflow the precision update
+    stream, _ = _write_stream(tmp_path, 8)
+    out = tmp_path / "track.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, ["track", "--stream", str(stream), "--mode", "robust", "--alpha", alpha,
+                                   "--out", str(out)])
+    assert res.exit_code == 4, res.output
+    assert res.output == "numerical failure: overflow encountered in matmul\n"
+    assert not caught
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["petrels", "robust"])
 def test_track_fills_once_per_call(runner, tmp_path, monkeypatch, mode):
     calls = []

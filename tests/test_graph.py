@@ -15,7 +15,6 @@ from gapkit.graph import (
     SmoothnessKind,
     UndirectedGraph,
     gmrf_learn,
-    huber_fidelity,
     recover_tikhonov,
     recover_tv,
     smoothness,
@@ -128,23 +127,6 @@ def test_smoothness_directed_variation():
     assert_allclose(smoothness(X, W, SmoothnessKind.DIRECTED_VARIATION, p_norm=2), 1.0 + 4.0)
     with pytest.raises(ValueError, match="nonzero"):
         smoothness(X, np.zeros((2, 2)), SmoothnessKind.DIRECTED_VARIATION)
-
-
-def test_huber_values():
-    Y = np.array([[1.0]])
-    M = np.ones((1, 1))
-    assert huber_fidelity(Y, Y, M, delta=0.5) == 0.0
-    delta = 0.7
-    X = np.array([[1.0 - 2 * delta]])
-    assert_allclose(huber_fidelity(X, Y, M, delta), 1.5 * delta**2)
-    rng = np.random.default_rng(2)
-    Ya = rng.standard_normal((3, 4))
-    Xa = Ya + rng.uniform(-0.1, 0.1, (3, 4))
-    Ma = (rng.random((3, 4)) < 0.7).astype(int)
-    assert_allclose(
-        huber_fidelity(Xa, Ya, Ma, delta=1.0),
-        0.5 * np.sum((Ma * (Ya - Xa)) ** 2),
-    )
 
 
 # -- recovery -------------------------------------------------------------------
@@ -437,6 +419,49 @@ def test_gmrf_learn_never_ends_above_a_feasible_warm_start(p, alpha, seed, max_i
     assert end <= start
 
 
+def _gmrf_residual(S, alpha, w):
+    """The solver's stopping residual max|min(w, g)| at w, from its own
+    objective and gradient kernels."""
+    p = len(S)
+    edges = _edges(p)
+    s_vec = _edge_form(S.ravel(), edges.up, edges)
+    _obj, f = _gmrf_objective(w, s_vec, alpha, edges, p)
+    return np.abs(np.minimum(w, _gmrf_gradient(f, s_vec, alpha, edges))).max()
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.integers(2, 8), alpha=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1), warm=st.booleans())
+def test_gmrf_learn_stops_on_the_projected_gradient_residual(p, alpha, seed, warm):
+    S, rng = _random_moment(p, seed)
+    iu, ju = np.triu_indices(p, k=1)
+    w0 = rng.uniform(0.05, 2.0, len(iu)) if warm else None
+    w = gmrf_learn(S, alpha, w0=w0).W[iu, ju]
+    assert _gmrf_residual(S, alpha, w) <= 1e-7 * (1.0 + w.max())
+
+
+@pytest.mark.parametrize("p, alpha, seed", [(2, 0.0, 3), (4, 0.1, 4), (7, 0.6, 5), (8, 0.02, 6)])
+def test_gmrf_solve_from_its_own_answer_takes_no_step(p, alpha, seed):
+    # the returned point passes the stopping test, so a warm start there
+    # costs the one factorization that scores it
+    S, _rng = _random_moment(p, seed)
+    w_opt = graph._gmrf_solve(S, alpha)[0]
+    w, factorizations, steps = graph._gmrf_solve(S, alpha, w0=w_opt)
+    assert (factorizations, steps) == (1, 0)
+    assert w.tobytes() == w_opt.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"max_iter": -1}, "max_iter must be an integer >= 0"), ({"max_iter": 2.5}, "max_iter must be an integer >= 0"),
+     ({"tol": np.nan}, "tol must be nonnegative and finite"), ({"tol": -1.0}, "tol must be nonnegative and finite"),
+     ({"tol": np.inf}, "tol must be nonnegative and finite")],
+)
+def test_gmrf_learn_rejects_settings_that_do_nothing(kwargs, message):
+    # NaN or negative tol would run every step; a negative max_iter none
+    with pytest.raises(ValueError, match=message):
+        gmrf_learn(_random_moment(3, 0)[0], 0.1, **kwargs)
+
+
 @pytest.mark.parametrize("p, alpha, seed", [(2, 0.0, 3), (4, 0.1, 4), (7, 0.6, 5)])
 def test_gmrf_learn_restarts_from_an_infeasible_warm_start(p, alpha, seed):
     # the empty graph leaves L + 1 1^T / p singular: the solver spends one
@@ -668,6 +693,16 @@ def test_stsrgl_reports_learner_counts(monkeypatch):
     assert np.all(res.gmrf_steps >= 1) and np.all(res.gmrf_factorizations > res.gmrf_steps)
     assert calls["objective"] == res.gmrf_factorizations.sum() + len(res.objective_trace)
     assert calls["gradient"] == res.gmrf_steps.sum() + iters + 1
+
+
+def test_stsrgl_huge_l1_weight_empties_the_adjacency_without_overflow():
+    # step * alpha_a passes the float range; the soft threshold is then inf
+    rng = np.random.default_rng(3)
+    Y = IncompleteMatrix(1e-3 * rng.standard_normal((4, 30)), np.ones((4, 30)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = stsrgl_fit(Y, alpha_a=1.7e308, iters=2)
+    assert np.all(res.A.A == 0)
 
 
 def _signal_problem(p, n, seed):
