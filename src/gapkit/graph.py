@@ -384,9 +384,11 @@ def _gmrf_solve(S, alpha, w0=None, max_iter=2000, tol=1e-7):
         raise ValueError("S must be a symmetric matrix")
     if np.abs(S).max() == 0:
         raise ValueError("all-zero second-moment matrix")
+    k = 2.0 ** -round(np.log2(np.abs(S).max()))  # solve for w / k on k S, k alpha (see gmrf_learn)
+    S, alpha = k * S, k * alpha
     edges = _edges(p)
     s_vec = _edge_form(S.ravel(), edges.up, edges)
-    w = np.full(len(s_vec), 1.0 / p) if w0 is None else np.maximum(w0, 0.0)
+    w = np.full(len(s_vec), 1.0 / p) if w0 is None else np.maximum(w0, 0.0) / k
     obj, f = _gmrf_objective(w, s_vec, alpha, edges, p)
     factorizations, steps = 1, 0
     if f is None:  # infeasible warm start: restart from the complete graph
@@ -400,8 +402,8 @@ def _gmrf_solve(S, alpha, w0=None, max_iter=2000, tol=1e-7):
     for _ in range(max_iter):
         # projected-gradient residual: P(w - g) - w = -min(w, g) on w >= 0
         r = np.minimum(w, grad)
-        if max(r.max(), -r.min()) <= tol * (1.0 + w.max()):
-            return w, factorizations, steps
+        if max(r.max(), -r.min()) <= tol:
+            return w * k, factorizations, steps
         d = np.maximum(w - step * grad, 0.0) - w
         bound, slope = max(recent), _NM_ARMIJO * float(grad @ d)
         t = 1.0
@@ -424,7 +426,7 @@ def _gmrf_solve(S, alpha, w0=None, max_iter=2000, tol=1e-7):
         recent.append(obj_new)
         if obj_new < best_obj:
             best, best_obj = w, obj_new
-    return best, factorizations, steps
+    return best * k, factorizations, steps
 
 
 def gmrf_learn(
@@ -443,11 +445,12 @@ def gmrf_learn(
     projection onto w >= 0 and lam the clipped Barzilai-Borwein step, halving
     t until f(w + t d) <= max(last 10 f) + 1e-4 t g^T d. A trial is scored by
     its Cholesky factor alone; the inverse behind the gradient is formed only
-    at the start point and at accepted steps. It stops at stationarity, when
-    the projected-gradient residual max|P(w - g) - w| = max|min(w, g)| is at
-    most tol * (1 + max w), and returns the iterate that passed (a warm start
-    that passes costs one factorization); after max_iter steps, or when 60
-    halvings find no acceptable trial, it returns the best iterate seen.
+    at the start point and at accepted steps. It runs on k S and k alpha, k
+    the power of two nearest 1 / max|S|, so no step or test depends on the
+    units of S. It stops when the projected-gradient residual max|P(w - g) - w|
+    = max|min(w, g)| in those units is at most tol, and returns that iterate
+    (a warm start that passes costs one factorization); after max_iter steps,
+    or when 60 halvings find no acceptable trial, the best iterate seen.
     Accepted steps end below the largest remembered objective, so the result
     never ends above the objective of a feasible warm start w0.
     """
@@ -625,7 +628,7 @@ def stsrgl_fit(
         C0 = X[:, :-1] @ X[:, :-1].T
         step = 1.0 / max(np.linalg.eigvalsh(L)[-1] * np.linalg.eigvalsh(C0)[-1], 1e-12)
         # a Python float product goes to inf without numpy's overflow warning
-        thresh = float(step) * alpha_a
+        thresh = float(step) * float(alpha_a)
         for _ in range(a_steps):  # gradient -L (C1 - A C0), then soft threshold
             A = A + step * (L @ (C1 - A @ C0))
             A = np.sign(A) * np.maximum(np.abs(A) - thresh, 0.0)

@@ -390,24 +390,38 @@ def _gmrf_dense(S, alpha, w):
     return w @ s_vec - logdet + 2.0 * alpha * w.sum(), grad
 
 
+def _gmrf_residual(S, alpha, w):
+    """The solver's stopping residual max|min(w, g)| at w, in its units and
+    from its own kernels."""
+    k = 2.0 ** -round(np.log2(np.abs(S).max()))  # the power of two nearest 1 / max|S|
+    S, alpha, w = k * S, k * alpha, w / k
+    p = len(S)
+    edges = _edges(p)
+    s_vec = _edge_form(S.ravel(), edges.up, edges)
+    _obj, f = _gmrf_objective(w, s_vec, alpha, edges, p)
+    return np.abs(np.minimum(w, _gmrf_gradient(f, s_vec, alpha, edges))).max()
+
+
 @settings(max_examples=100, deadline=None)
-@given(p=st.integers(2, 8), alpha=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-def test_gmrf_learn_meets_kkt_on_random_moments(p, alpha, seed):
+@given(p=st.integers(2, 8), alpha=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1), warm=st.booleans())
+def test_gmrf_learn_meets_kkt_on_random_moments(p, alpha, seed, warm):
     # stationarity on w >= 0: each weight is zero with a nonnegative
     # gradient entry or positive with a zero one
-    S, _rng = _random_moment(p, seed)
+    S, rng = _random_moment(p, seed)
     iu, ju = np.triu_indices(p, k=1)
-    w = gmrf_learn(S, alpha).W[iu, ju]
+    w0 = rng.uniform(0.05, 2.0, len(iu)) if warm else None
+    w = gmrf_learn(S, alpha, w0=w0).W[iu, ju]
     _obj, grad = _gmrf_dense(S, alpha, w)
     assert np.abs(np.minimum(w, grad)).max() <= 1e-6
+    assert _gmrf_residual(S, alpha, w) <= 1e-7
 
 
 @settings(max_examples=100, deadline=None)
 @given(p=st.integers(2, 8), alpha=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
        max_iter=st.integers(1, 50))
 def test_gmrf_learn_never_ends_above_a_feasible_warm_start(p, alpha, seed, max_iter):
-    # the nonmonotone search may climb between iterations; the best iterate
-    # it returns may not
+    # the nonmonotone search may climb between iterations, but every step it
+    # accepts ends below the largest remembered objective, so below f(w0)
     S, rng = _random_moment(p, seed)
     iu, ju = np.triu_indices(p, k=1)
     edges = _edges(p)
@@ -419,26 +433,6 @@ def test_gmrf_learn_never_ends_above_a_feasible_warm_start(p, alpha, seed, max_i
     assert end <= start
 
 
-def _gmrf_residual(S, alpha, w):
-    """The solver's stopping residual max|min(w, g)| at w, from its own
-    objective and gradient kernels."""
-    p = len(S)
-    edges = _edges(p)
-    s_vec = _edge_form(S.ravel(), edges.up, edges)
-    _obj, f = _gmrf_objective(w, s_vec, alpha, edges, p)
-    return np.abs(np.minimum(w, _gmrf_gradient(f, s_vec, alpha, edges))).max()
-
-
-@settings(max_examples=100, deadline=None)
-@given(p=st.integers(2, 8), alpha=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1), warm=st.booleans())
-def test_gmrf_learn_stops_on_the_projected_gradient_residual(p, alpha, seed, warm):
-    S, rng = _random_moment(p, seed)
-    iu, ju = np.triu_indices(p, k=1)
-    w0 = rng.uniform(0.05, 2.0, len(iu)) if warm else None
-    w = gmrf_learn(S, alpha, w0=w0).W[iu, ju]
-    assert _gmrf_residual(S, alpha, w) <= 1e-7 * (1.0 + w.max())
-
-
 @pytest.mark.parametrize("p, alpha, seed", [(2, 0.0, 3), (4, 0.1, 4), (7, 0.6, 5), (8, 0.02, 6)])
 def test_gmrf_solve_from_its_own_answer_takes_no_step(p, alpha, seed):
     # the returned point passes the stopping test, so a warm start there
@@ -448,6 +442,19 @@ def test_gmrf_solve_from_its_own_answer_takes_no_step(p, alpha, seed):
     w, factorizations, steps = graph._gmrf_solve(S, alpha, w0=w_opt)
     assert (factorizations, steps) == (1, 0)
     assert w.tobytes() == w_opt.tobytes()
+
+
+@pytest.mark.parametrize("c", [1e-6, 2.0**-20, 1.0, 3.7, 1e6])
+def test_gmrf_learn_scales_with_the_units_of_s(c):
+    # S -> c S with alpha -> c alpha is the same problem in other units, with
+    # weights w / c; the two-node closed form is w = 1 / (2c) at S = c I
+    assert_allclose(gmrf_learn(c * np.eye(2), 0.0).W[0, 1], 0.5 / c, rtol=1e-9)
+    S, _rng = _random_moment(6, 0)
+    W1 = gmrf_learn(S, 0.1).W
+    Wc = gmrf_learn(c * S, c * 0.1).W
+    assert_allclose(c * Wc, W1, rtol=0, atol=1e-6 * W1.max())
+    if c in (2.0**-20, 1.0):  # a power of two changes no rounding
+        assert (c * Wc).tobytes() == W1.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -701,7 +708,7 @@ def test_stsrgl_huge_l1_weight_empties_the_adjacency_without_overflow():
     Y = IncompleteMatrix(1e-3 * rng.standard_normal((4, 30)), np.ones((4, 30)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = stsrgl_fit(Y, alpha_a=1.7e308, iters=2)
+        res = stsrgl_fit(Y, alpha_a=np.float64(1.7e308), iters=2)
     assert np.all(res.A.A == 0)
 
 
