@@ -336,7 +336,10 @@ def track_cmd(ctx, stream, mode, rank, forget, rho, alpha, truth, seed, out):
             resid = np.linalg.norm(m_t * (y_t - state.U @ w))
             row = f"{t},{format_float(resid)}"
             if U_true is not None:
-                row += f",{format_float(sep(state.U, U_true))}"
+                try:
+                    row += f",{format_float(sep(state.U, U_true))}"
+                except ValueError as exc:  # the truth was checked above, so the tracked basis lost rank
+                    raise np.linalg.LinAlgError(f"tracked basis at step {t}: {exc}") from exc
             lines.append(row)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

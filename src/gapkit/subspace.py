@@ -87,11 +87,11 @@ def petrels_weights(U: NDArray, y_t: NDArray, m_t: NDArray):
     Returns the minimum-norm solution when the observed system is rank
     deficient (including the all-masked case, which gives w = 0).
     """
-    obs = np.flatnonzero(np.asarray(m_t) == 1)
+    obs = (np.asarray(m_t) == 1).nonzero()[0]
     r = U.shape[1]
     if len(obs) == 0:
         return np.zeros(r), True
-    w, _res, rank, _sv = np.linalg.lstsq(U[obs], np.asarray(y_t, dtype=float)[obs], rcond=None)
+    w, _res, rank, _sv = np.linalg.lstsq(U.take(obs, axis=0), np.asarray(y_t, float)[obs], rcond=None)
     return w, bool(rank < r)
 
 
@@ -99,25 +99,27 @@ def _rls_row_updates(state, obs, y_t, w, weight=1.0):
     """Weighted forgetting-RLS update of the observed rows of U.
 
     Precision recursion R_i <- lam * R_i + weight * w w^T applied in inverse
-    form. Rows where eigvalsh gives lam_max > CONDITION_CAP * max(lam_min,
-    1e-300) or lam_min <= 0 are reset to the warm start and counted. A row
-    with trace T in (1e-100, 1e100) (no overflow, no subnormals) and sqrt(F)
-    <= c T, F its sum of squares, skips eigvalsh: by the trace bounds of
-    Wolkowicz & Styan (LAA 1980) its condition number is <= CAP / 2.
+    form; the k products R_i^-1 w are one (k r, r) @ (r,) GEMV, bit-equal to
+    the stacked (k, r, r) @ (r,) matmul at half its cost. Rows where eigvalsh
+    gives lam_max > CONDITION_CAP * max(lam_min, 1e-300) or lam_min <= 0 are
+    reset to the warm start and counted. A row with trace T in (1e-100,
+    1e100) (no overflow, no subnormals) and sqrt(F) <= c T, F its sum of
+    squares, skips eigvalsh: by the trace bounds of Wolkowicz & Styan (LAA
+    1980) its condition number is <= CAP / 2.
     """
-    lam = state.lambda_forget
-    Rinv = state.row_prec[obs]
-    v = Rinv @ w  # (k, r)
+    lam, k, r = state.lambda_forget, len(obs), state.r
+    Rinv = state.row_prec.take(obs, axis=0)
+    v = (Rinv.reshape(k * r, r) @ w).reshape(k, r)
     denom = lam + weight * (v @ w)  # (k,)
     # The outer product is formed before the weight multiplies it, so Rinv_new
     # stays exactly symmetric for any weight (eigvalsh reads one triangle, the trace test both).
     Rinv_new = (Rinv - v[:, :, None] * v[:, None, :] * weight / denom[:, None, None]) / lam
-    U_o = state.U[obs]
+    U_o = state.U.take(obs, axis=0)
     resid = y_t[obs] - U_o @ w
-    state.U[obs] = U_o + weight * resid[:, None] * (Rinv_new @ w)
+    state.U[obs] = U_o + weight * resid[:, None] * (Rinv_new.reshape(k * r, r) @ w).reshape(k, r)
     reset = _rows_to_reset(Rinv_new)
     if n_reset := np.count_nonzero(reset):
-        Rinv_new[reset] = PRECISION_INIT * np.eye(state.r)
+        Rinv_new[reset] = PRECISION_INIT * np.eye(r)
         state.reinit_count += n_reset
     state.row_prec[obs] = Rinv_new
     state.t += 1
@@ -139,12 +141,12 @@ def _rows_to_reset(R):
 def petrels_update(state: TrackerState, y_t: NDArray, m_t: NDArray) -> TrackerState:
     """One tracking step: project on observed rows, then update those rows."""
     y_t = np.asarray(y_t, dtype=float)
-    obs = np.flatnonzero(np.asarray(m_t) == 1)
+    obs = (np.asarray(m_t) == 1).nonzero()[0]
     if len(obs) == 0:
         state.t += 1
         return state
     # petrels_weights' least squares, on the index computed once here.
-    w = np.linalg.lstsq(state.U[obs], y_t[obs], rcond=None)[0]
+    w = np.linalg.lstsq(state.U.take(obs, axis=0), y_t[obs], rcond=None)[0]
     return _rls_row_updates(state, obs, y_t, w)
 
 
@@ -228,9 +230,9 @@ def robust_update(
     the largest rows toward a common bound.
     """
     y_t = np.asarray(y_t, dtype=float)
-    obs = np.flatnonzero(np.asarray(m_t) == 1)
+    obs = (np.asarray(m_t) == 1).nonzero()[0]
     if len(obs):  # an all-masked step runs no stage-1 iteration
-        w, s_o, iters, converged = _stage1(state.U[obs], y_t[obs], cfg)
+        w, s_o, iters, converged = _stage1(state.U.take(obs, axis=0), y_t[obs], cfg)
         state.stage1_iters += iters
         state.stage1_unconverged += not converged
         obs = obs[np.abs(s_o) <= OUTLIER_SUPPORT_TOL]

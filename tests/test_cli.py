@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import warnings
@@ -445,6 +446,20 @@ def test_track_overflow_exit_4(runner, tmp_path, alpha):
     assert res.exit_code == 4, res.output
     assert res.output == "numerical failure: overflow encountered in matmul\n"
     assert not caught
+    assert not out.exists()
+
+
+def test_track_rank_deficient_tracked_basis_exit_4(runner, tmp_path):
+    # the row-norm penalty shrinks the tracked basis to rank deficiency;
+    # the truth basis is fine, so this is no config error
+    stream, U = _write_stream(tmp_path, 8)
+    truth = tmp_path / "truth.csv"
+    write_matrix_csv(truth, U)
+    out = tmp_path / "track.csv"
+    res = runner.invoke(main, ["track", "--stream", str(stream), "--mode", "robust", "--alpha", "1e10",
+                               "--truth", str(truth), "--out", str(out)])
+    assert res.exit_code == 4, res.output
+    assert res.output == "numerical failure: tracked basis at step 1: rank-deficient basis\n"
     assert not out.exists()
 
 
@@ -949,28 +964,22 @@ def fuzz_files(tmp_path_factory):
     return paths
 
 
-@pytest.mark.parametrize("command", sorted(_FUZZ))
-@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_fuzz_exit_codes(fuzz_files, tmp_path, command, data):
+def _fuzz_call(fuzz_files, command, chosen, out_dir, missing=False):
+    """Run a command with the chosen option values on top of the always-given
+    ones and check the exit-code rules. The output goes to a fresh out_dir, or
+    to a directory under it that does not exist when missing is set."""
     options, always, out_option = _FUZZ[command]
-    # At most three options leave their first, valid value, so that many
-    # examples get past validation into the numerics.
-    odd = data.draw(st.lists(st.sampled_from(sorted(options)), max_size=3, unique=True), label="odd")
     args = command.split()
     for name in sorted(options):
-        if name in odd:
-            value = data.draw(st.sampled_from(options[name]), label=name)
+        if name in chosen:
+            value = chosen[name]
         elif name in always:
             value = options[name][0]
         else:
             continue
         value = fuzz_files[value[1:]] if value.startswith("@") else value
         args += [name.split()[0], *value.split()]
-    # tmp_path is shared by all examples of a command: each gets a fresh subdirectory
-    out_dir = tmp_path / f"out{len(os.listdir(tmp_path))}"
     out_dir.mkdir()
-    missing = data.draw(st.booleans(), label="output in a missing directory")
     args += [out_option, str(out_dir / "missing" / "o" if missing else out_dir / "o")]
     res = CliRunner().invoke(main, args)
     allowed = {0, 2, 3, 4} if command == "bench" else {0, 2, 4}
@@ -979,3 +988,31 @@ def test_fuzz_exit_codes(fuzz_files, tmp_path, command, data):
     assert res.exception is None or isinstance(res.exception, SystemExit), (args, res.exception)
     if res.exit_code == 0:
         assert os.listdir(out_dir), args
+
+
+@pytest.mark.parametrize("command", sorted(_FUZZ))
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_exit_codes(fuzz_files, tmp_path, command, data):
+    options = _FUZZ[command][0]
+    # At most three options leave their first, valid value, so that many
+    # examples get past validation into the numerics.
+    odd = data.draw(st.lists(st.sampled_from(sorted(options)), max_size=3, unique=True), label="odd")
+    chosen = {name: data.draw(st.sampled_from(options[name]), label=name) for name in sorted(options)
+              if name in odd}
+    missing = data.draw(st.booleans(), label="output in a missing directory")
+    # tmp_path is shared by all examples of a command: each gets a fresh subdirectory
+    _fuzz_call(fuzz_files, command, chosen, tmp_path / f"out{len(os.listdir(tmp_path))}", missing)
+
+
+@pytest.mark.parametrize("command", ["track"])
+def test_fuzz_singles_and_pairs_exit_codes(fuzz_files, tmp_path, command):
+    # Every non-default value alone and every pair of values of two options,
+    # so a failing combination of at most two fails on every run, not by chance.
+    options = _FUZZ[command][0]
+    cases = [{}] + [{name: value} for name in options for value in options[name][1:]]
+    cases += [{a: va, b: vb} for a, b in itertools.combinations(sorted(options), 2)
+              for va in options[a] for vb in options[b]]
+    _fuzz_call(fuzz_files, command, {}, tmp_path / "missing", missing=True)
+    for i, chosen in enumerate(cases):
+        _fuzz_call(fuzz_files, command, chosen, tmp_path / f"out{i}")

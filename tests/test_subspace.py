@@ -59,6 +59,23 @@ def test_weights_zero_mask_flagged_min_norm():
     assert_allclose(w, 0.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(1, 30), r=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       miss=st.sampled_from([0.0, 0.3, 0.9, 1.0]), deficient=st.booleans())
+def test_weights_match_lstsq_bit_for_bit(p, r, seed, miss, deficient):
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((p, r)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if deficient:
+        U[:, -1] = 2.0 * U[:, 0] if r > 1 else 0.0
+    y = rng.standard_normal(p)
+    m = (rng.random(p) >= miss).astype(int)
+    obs = np.flatnonzero(m == 1)
+    w_ref, _res, rank, _sv = np.linalg.lstsq(U[obs], y[obs], rcond=None)
+    w, flag = petrels_weights(U, y, m)
+    assert w.tobytes() == w_ref.tobytes()
+    assert flag == (rank < r)
+
+
 def test_weights_match_normal_equations_oracle():
     rng = np.random.default_rng(5)
     U = _basis(40, 2, 6)
@@ -485,7 +502,7 @@ def test_tracking_steps_match_reference_bit_for_bit():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    p=st.integers(2, 30), r=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+    p=st.integers(2, 30), r=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
     miss=st.floats(0.0, 0.9), spikes=st.floats(0.0, 0.5), rho=st.floats(1e-6, 10.0),
     alpha_reg=st.sampled_from([0.0, 0.3, 5.0]), lambda_forget=st.floats(0.01, 1.0),
     admm_iters=st.integers(1, 50),
