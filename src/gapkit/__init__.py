@@ -12,7 +12,7 @@ from .core import (
     split_column,
     write_matrix_csv,
 )
-from .mechanisms import MechanismKind, MechanismSpec, PatternClass, classify_pattern, gen_mask, is_ignorable
+from .mechanisms import MechanismKind, MechanismSpec, PatternClass, classify_pattern, gen_mask
 from .imputation import (
     ImputerKind,
     ImputerSpec,
@@ -20,25 +20,21 @@ from .imputation import (
     impute_iterative,
     impute_knn,
     impute_mean,
-    knn_distance,
     multiple_impute,
 )
 from .em import (
-    DensityGenerator,
     EmConfig,
     EVariant,
     GaussianParams,
-    GeneratorKind,
     StudentTParams,
     conditional_gaussian,
     em_gaussian_fit,
     em_student_fit,
-    map_m_step,
     observed_loglik_gaussian,
     observed_loglik_student,
 )
-from .mnar import SelectionParams, sample_missing_entry, sem_selection_fit
-from .completion import hard_impute, nuclear_objective, soft_impute
+from .mnar import SelectionParams, sem_selection_fit
+from .completion import hard_impute, soft_impute
 from .structcov import CovStructure, StructureKind, em_structured_fit, project_factor_model, project_fml
 from .subspace import (
     RobustConfig,

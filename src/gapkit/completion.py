@@ -9,6 +9,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import IncompleteMatrix
+from .imputation import impute_mean
 
 
 @dataclass
@@ -32,12 +33,6 @@ def _check_stopping(tol: float, max_iter: int) -> None:
         raise ValueError(f"need tol > 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
 
 
-def _default_init(Y: IncompleteMatrix) -> NDArray:
-    from .imputation import impute_mean
-
-    return impute_mean(Y)
-
-
 def hard_impute(
     Y: IncompleteMatrix,
     r: int,
@@ -56,7 +51,7 @@ def hard_impute(
         raise ValueError(f"rank r={r} must lie in [1, min(p, n)]")
     _check_stopping(tol, max_iter)
     obs = Y.mask == 1
-    cur = np.array(init, dtype=float) if init is not None else _default_init(Y)
+    cur = np.array(init, dtype=float) if init is not None else impute_mean(Y)
     if cur.shape != Y.shape:
         raise ValueError("init shape mismatch")
     cur = np.where(obs, Y.filled(0.0), cur)
@@ -94,7 +89,7 @@ def soft_impute(
     _check_stopping(tol, max_iter)
     obs = Y.mask == 1
     Yobs = Y.filled(0.0)
-    Z = np.array(init, dtype=float) if init is not None else _default_init(Y)
+    Z = np.array(init, dtype=float) if init is not None else impute_mean(Y)
     if Z.shape != Y.shape:
         raise ValueError("init shape mismatch")
     trace = []
@@ -116,16 +111,3 @@ def soft_impute(
     tiny = 1e-12 * max(float(s[0]) if len(s) else 0.0, 1.0)
     rank = int(np.sum(s_shrunk > tiny))
     return SoftImputeResult(Z, rank, np.array(trace), it, converged)
-
-
-def nuclear_objective(X: NDArray, Y: NDArray, M: NDArray, lam: float) -> float:
-    """0.5 * ||M o (X - Y)||_F^2 + lam * ||X||_* with a full SVD."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    M = np.asarray(M)
-    if not (X.shape == Y.shape == M.shape):
-        raise ValueError("X, Y and M must share one shape")
-    resid = np.where(M == 1, X - Y, 0.0)
-    return 0.5 * float(np.sum(resid**2)) + lam * float(
-        np.linalg.svd(X, compute_uv=False).sum()
-    )

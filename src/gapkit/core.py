@@ -136,14 +136,6 @@ class ColumnSplit:
     missing_idx: NDArray
     x_o: NDArray
 
-    @property
-    def n_observed(self) -> int:
-        return len(self.observed_idx)
-
-    @property
-    def n_missing(self) -> int:
-        return len(self.missing_idx)
-
 
 def split_column(X: IncompleteMatrix, j: int) -> ColumnSplit:
     """Split column j of X into observed and missing parts (ascending indices)."""

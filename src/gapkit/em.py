@@ -4,8 +4,7 @@ The E-step can be exact (closed-form conditional moments), or stochastic
 (single draw, Monte Carlo averaging over several draws, or stochastic
 approximation with a decaying step sequence). The M-step is the closed-form
 maximizer; the Student-t fit can add an observed-likelihood step for nu
-(ECME). map_m_step is the generalized-EM step for a Q without a closed-form
-maximizer: it only guarantees ascent.
+(ECME).
 """
 from __future__ import annotations
 
@@ -120,65 +119,6 @@ class EmFit:
     converged: bool
     n_iter: int
     mu_trace: NDArray
-
-
-# ---------------------------------------------------------------------------
-# Density generators for elliptically symmetric families (evaluation only).
-# ---------------------------------------------------------------------------
-
-
-class GeneratorKind(Enum):
-    GAUSSIAN = "gaussian"
-    STUDENT_T = "student_t"
-    GENERALIZED_GAUSSIAN = "generalized_gaussian"
-    K_DISTRIBUTION = "k_distribution"
-
-
-@dataclass(frozen=True)
-class DensityGenerator:
-    """Radial profile g(r) of an elliptical density f(x) = det(S)^-1/2 g(d^2).
-
-    Only pointwise evaluation is provided; fitting beyond the Gaussian and
-    Student-t cases needs conditional samplers this toolkit does not ship.
-    """
-
-    kind: GeneratorKind
-    nu: float = 1.0
-    s: float = 1.0
-    b: float = 1.0
-
-    def __call__(self, r, dim: int):
-        from scipy.special import gammaln, kv
-
-        r = np.asarray(r, dtype=float)
-        if (r < 0).any():
-            raise ValueError("squared radius r must be nonnegative")
-        n = dim
-        if self.kind is GeneratorKind.GAUSSIAN:
-            return np.exp(-r / 2.0) / (2.0 * math.pi) ** (n / 2.0)
-        if self.kind is GeneratorKind.STUDENT_T:
-            nu = self.nu
-            return np.exp(_student_log_norm(nu, n) - (n + nu) / 2.0 * np.log1p(r / nu))
-        if self.kind is GeneratorKind.GENERALIZED_GAUSSIAN:
-            s, b = self.s, self.b
-            logc = (
-                math.log(s)
-                + gammaln(n / 2.0)
-                - (n / 2.0) * LOG_2PI
-                - (n / (2.0 * s)) * math.log(b)
-                - gammaln(n / (2.0 * s))
-            )
-            return np.exp(logc - r**s / (2.0**s * b))
-        # K-distribution; modified Bessel function of the second kind
-        nu = self.nu
-        rr = np.maximum(r, 1e-300)
-        arg = np.sqrt(2.0 * nu * rr)
-        coef = (
-            nu ** (n / 2.0)
-            * (2.0 * nu * rr) ** ((2.0 * nu - n) / 4.0)
-            / (2.0 ** (nu - 1.0) * math.pi ** (n / 2.0) * math.exp(gammaln(nu)))
-        )
-        return coef * kv(nu - n / 2.0, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -488,63 +428,3 @@ def em_student_fit(
         return StudentTParams(mu, sigma, nu)
 
     return _em_loop(params, cfg, estep, m_step)
-
-
-# ---------------------------------------------------------------------------
-# Generic MAP M-step: ascend Q + log prior from the current parameter.
-# ---------------------------------------------------------------------------
-
-
-def map_m_step(q_fn, log_prior, theta_k, max_evals: int = 4000) -> NDArray:
-    """Return theta with q_fn(theta) + log_prior(theta) >= its value at theta_k.
-
-    Runs a derivative-free ascent (Nelder-Mead proposal, then a compass
-    line-search polish) and never accepts a non-improving point, so the
-    generalized-EM ascent guarantee holds by construction. Infeasible points
-    (log prior = -inf) are rejected during the search.
-    """
-    from scipy.optimize import minimize
-
-    theta_k = np.atleast_1d(np.asarray(theta_k, dtype=float))
-
-    def objective(t):
-        lp = log_prior(t)
-        if not np.isfinite(lp):
-            return -np.inf
-        val = q_fn(t) + lp
-        return val if np.isfinite(val) else -np.inf
-
-    f0 = objective(theta_k)
-    if not np.isfinite(f0):
-        raise ValueError("Q + log prior must be finite at theta_k")
-
-    best_theta, best_val = theta_k.copy(), f0
-    res = minimize(
-        lambda t: -np.nan_to_num(objective(t), nan=np.inf, neginf=1e300),
-        theta_k,
-        method="Nelder-Mead",
-        options={"maxfev": max_evals // 2, "xatol": 1e-12, "fatol": 1e-14},
-    )
-    cand_val = objective(res.x)
-    if cand_val > best_val:
-        best_theta, best_val = np.atleast_1d(res.x), cand_val
-
-    # Compass polish: shrinking coordinate steps, improvements only.
-    evals = 0
-    step = max(1.0, float(np.abs(best_theta).max()))
-    while step > 1e-11 * max(1.0, float(np.abs(best_theta).max())) and evals < max_evals:
-        improved = False
-        for i in range(len(best_theta)):
-            for sgn in (1.0, -1.0):
-                cand = best_theta.copy()
-                cand[i] += sgn * step
-                val = objective(cand)
-                evals += 1
-                if val > best_val:
-                    best_theta, best_val = cand, val
-                    improved = True
-        if not improved:
-            step *= 0.5
-    if best_val < f0:
-        raise RuntimeError("ascent failure in map_m_step")  # pragma: no cover
-    return best_theta

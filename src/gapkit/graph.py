@@ -73,11 +73,6 @@ def _edge_form(flat: NDArray, off: NDArray, edges: _Edges) -> NDArray:
     return flat[edges.di] + flat[edges.dj] - 2.0 * flat[off]
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0 <= alpha < np.inf:
-        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
-
-
 def _innovations(X: NDArray, A: NDArray) -> NDArray:
     """Lag-one innovations x_t - A x_{t-1}; the first column is its own."""
     E = np.empty_like(X)
@@ -91,9 +86,9 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
-def _check_tol(tol) -> None:
-    if not 0 <= tol < np.inf:
-        raise ValueError(f"tol must be nonnegative and finite, got {tol!r}")
+def _check_nonnegative(name: str, value) -> None:
+    if not 0 <= value < np.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
 
 
 def _check_reachable(W: NDArray, observed: NDArray) -> None:
@@ -191,7 +186,7 @@ class RecoveryConfig:
         if not 0 < self.delta < np.inf:
             raise ValueError("delta must be positive and finite")
         _check_count("max_iter", self.max_iter, 1)
-        _check_tol(self.tol)
+        _check_nonnegative("tol", self.tol)
 
 
 def smoothness(X: NDArray, W: NDArray, kind: SmoothnessKind, p_norm: int = 2) -> float:
@@ -373,9 +368,9 @@ def _gmrf_solve(S, alpha, w0=None, max_iter=2000, tol=1e-7):
     """gmrf_learn's solver. Returns the edge weights over the pairs of
     np.triu_indices(p, 1), the number of factorizations (objective
     evaluations) and the number of accepted steps."""
-    _check_alpha(alpha)
+    _check_nonnegative("alpha", alpha)
     _check_count("max_iter", max_iter, 0)
-    _check_tol(tol)
+    _check_nonnegative("tol", tol)
     S = np.asarray(S, dtype=float)
     if not np.isfinite(S).all():
         raise ValueError("S must be finite, without NaN or inf entries")
@@ -472,7 +467,7 @@ def var_learn(X: NDArray, alpha: float) -> DirectedGraph:
     row, and a row finishes when its duality gap is below 1e-8 or a sweep
     leaves it unchanged.
     """
-    _check_alpha(alpha)
+    _check_nonnegative("alpha", alpha)
     X = np.asarray(X, dtype=float)
     p, n = X.shape
     if n < 2:

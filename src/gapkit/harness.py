@@ -313,10 +313,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     that fail (for example an empty evaluation set) are reported as notes
     without failing the replicate.
     """
-    # every section is checked first, so a replicate failing on its data cannot hide a bad key
+    # sections and imputer settings are checked first, so a replicate failing on its data hides no bad one
     _settings("dataset", config.dataset, _DATASET)
     _settings("mechanism", config.mechanism, _MECHANISM)
-    _method_settings(config.method)
+    module, name, s = _method_settings(config.method)
+    if module == "impute" and name not in ("locf", "linear"):
+        try:
+            ImputerSpec(ImputerKind(name), **s)
+        except ValueError as exc:
+            raise ConfigError(f"[method] {exc}") from exc
     result = ExperimentResult(n_replicates=config.replicates)
     result.manifest = {
         "config": config.to_dict(),

@@ -41,6 +41,9 @@ class ImputerSpec:
             raise ValueError("k must be >= 1")
         if self.ridge_penalty < 0:
             raise ValueError("ridge_penalty must be nonnegative")
+        sweeps = self.max_sweeps
+        if isinstance(sweeps, bool) or not isinstance(sweeps, (int, np.integer)) or sweeps < 1:
+            raise ValueError("max_sweeps must be an integer >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
 
@@ -65,21 +68,9 @@ def impute_mean(X: IncompleteMatrix) -> NDArray:
     return out
 
 
-def knn_distance(X: IncompleteMatrix, j: int, l: int) -> float:
-    """Scaled Euclidean distance between columns j and l over co-observed rows.
-
-    d = sqrt(p / |S| * sum_{i in S} (X[i,j] - X[i,l])^2) with S the rows
-    observed in both columns.
-    """
-    both = (X.mask[:, j] == 1) & (X.mask[:, l] == 1)
-    if not both.any():
-        raise ValueError(f"no co-observed variables between columns {j} and {l}")
-    diff = X.values[both, j] - X.values[both, l]
-    return float(np.sqrt(X.p / both.sum() * np.sum(diff**2)))
-
-
 def _knn_distance_matrix(X: IncompleteMatrix):
-    """All-pairs knn_distance; entries with empty co-observation are +inf."""
+    """D[j, l] = sqrt(p / |S| * sum_{i in S} (X[i,j] - X[i,l])^2) with S the
+    rows observed in both columns j and l; +inf where S is empty."""
     M = X.mask.astype(float)
     V = X.filled(0.0)
     co = M.T @ M

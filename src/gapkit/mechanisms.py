@@ -133,8 +133,3 @@ def _has_synchronized_rows(miss) -> bool:
     """Whether two rows with holes miss the same set of columns."""
     patterns = [row.tobytes() for row in miss if row.any()]
     return len(set(patterns)) < len(patterns)
-
-
-def is_ignorable(kind: MechanismKind, distinct_params: bool) -> bool:
-    """Whether likelihood inference may drop the mechanism term."""
-    return kind in (MechanismKind.MCAR, MechanismKind.MAR) and bool(distinct_params)

@@ -121,18 +121,6 @@ def _sample_tilted_batch(mu, sigma, phi, need, rng, state=None):
     return out
 
 
-def sample_missing_entry(theta_row, phi, seed: SeedSpec = SeedSpec(0)) -> float:
-    """One draw of a missing entry given its row parameters and the mechanism.
-
-    theta_row is (mu_i, sigma_i); the target is the Gaussian tilted by the
-    probability of being missing, f(x | M = 0) on that row.
-    """
-    mu, sigma = float(theta_row[0]), float(theta_row[1])
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return float(_sample_tilted_batch(mu, sigma, phi, 1, seed.rng())[0])
-
-
 def _logistic_newton(x, y, phi0, phi1, max_iter=50, tol=1e-10):
     """Newton fit of P(y=1) = sigmoid(phi1 * x + phi0); None when it fails
     or does not converge within max_iter steps.

@@ -683,8 +683,13 @@ def _probe_files(tmp_path):
     no_method_cfg.write_text("[dataset]\nkind = gaussian\n\n[run]\nreplicates = 2\n", encoding="utf-8")
     unread_key_cfg = tmp_path / "unread_key.cfg"
     unread_key_cfg.write_text("[dataset]\nkind = gaussian\nsede = 3\n\n[method]\nmodule = impute\n", encoding="utf-8")
+    knn_k0_cfg = tmp_path / "knn_k0.cfg"
+    knn_k0_cfg.write_text("[dataset]\nkind = gaussian\n\n[method]\nmethod = knn\nk = 0\n", encoding="utf-8")
+    sweeps_cfg = tmp_path / "sweeps.cfg"
+    sweeps_cfg.write_text("[dataset]\nkind = gaussian\n\n[method]\nmethod = iterative\nmax_sweeps = -3\n", encoding="utf-8")
     return {"gappy": str(gappy), "full": str(full), "zero": str(zero), "edges": str(edges), "series": str(series),
             "empty_cfg": str(empty_cfg), "no_method_cfg": str(no_method_cfg), "unread_key_cfg": str(unread_key_cfg),
+            "knn_k0_cfg": str(knn_k0_cfg), "sweeps_cfg": str(sweeps_cfg),
             "dir": str(tmp_path), "out": str(tmp_path / "o.csv"), "nodir": str(tmp_path / "no" / "o.csv")}
 
 
@@ -768,6 +773,9 @@ _PROBES = [
      "missing config section: 'method'"),
     ("bench_unread_key", ["bench", "--config", "{unread_key_cfg}", "--out-dir", "{dir}"],
      "[dataset] sede is not read under kind = gaussian"),
+    ("bench_knn_k0", ["bench", "--config", "{knn_k0_cfg}", "--out-dir", "{dir}"], "[method] k must be >= 1"),
+    ("bench_max_sweeps_neg", ["bench", "--config", "{sweeps_cfg}", "--out-dir", "{dir}"],
+     "[method] max_sweeps must be an integer >= 1"),
     ("ts_impute_explosive_a", ["ts-impute", "--in", "{series}", "--mu", "0", "--a", "1e300", "--sigma", "1",
                                "--nu", "5", "--out", "{out}"], "a = 1e+300"),
 ]

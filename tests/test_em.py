@@ -9,16 +9,13 @@ from scipy.stats import multivariate_t
 
 from gapkit.core import ColumnSplit, IncompleteMatrix, SeedSpec, split_column
 from gapkit.em import (
-    DensityGenerator,
     EmConfig,
     EVariant,
     GaussianParams,
-    GeneratorKind,
     StudentTParams,
     conditional_gaussian,
     em_gaussian_fit,
     em_student_fit,
-    map_m_step,
     observed_loglik_gaussian,
     observed_loglik_student,
 )
@@ -442,82 +439,6 @@ def test_student_loglik_matches_scipy():
     ll = observed_loglik_student(params, X)
     ref = multivariate_t.logpdf(vals.T, loc=params.mu, shape=params.sigma, df=4.0).sum()
     assert_allclose(ll, ref, atol=1e-9)
-
-
-# -- MAP M-step ---------------------------------------------------------------
-
-
-def test_map_m_step_flat_prior():
-    q = lambda t: -np.sum((t - 3.0) ** 2)
-    out = map_m_step(q, lambda t: 0.0, np.array([0.0]))
-    assert_allclose(out, [3.0], atol=1e-6)
-
-
-def test_map_m_step_conjugate_gaussian():
-    # Q from n observations at xbar with variance s2; prior N(m0, tau2)
-    n, xbar, s2 = 20.0, 1.5, 2.0
-    m0, tau2 = -1.0, 0.5
-    q = lambda t: -0.5 * n * (t[0] - xbar) ** 2 / s2
-    prior = lambda t: -0.5 * (t[0] - m0) ** 2 / tau2
-    expected = (n * xbar / s2 + m0 / tau2) / (n / s2 + 1 / tau2)
-    out = map_m_step(q, prior, np.array([0.0]))
-    assert_allclose(out[0], expected, atol=1e-7)
-
-
-def test_map_m_step_respects_box():
-    q = lambda t: -np.sum((t - 3.0) ** 2)
-
-    def prior(t):
-        return 0.0 if np.all(np.abs(t) <= 1.0) else -np.inf
-
-    out = map_m_step(q, prior, np.array([0.5]))
-    assert np.all(np.abs(out) <= 1.0 + 1e-12)
-    assert q(out) + prior(out) >= q(np.array([0.5])) + 0.0
-
-
-def test_map_m_step_requires_finite_start():
-    with pytest.raises(ValueError):
-        map_m_step(lambda t: 0.0, lambda t: -np.inf, np.array([0.0]))
-
-
-# -- density generators -------------------------------------------------------
-
-
-def test_generator_gaussian_matches_formula():
-    g = DensityGenerator(GeneratorKind.GAUSSIAN)
-    assert_allclose(g(np.array([0.0, 1.0, 4.0]), dim=2), np.exp([-0.0, -0.5, -2.0]) / (2 * np.pi))
-
-
-def test_generator_student_matches_scipy():
-    nu = 3.5
-    g = DensityGenerator(GeneratorKind.STUDENT_T, nu=nu)
-    x = np.array([0.3, -1.2])
-    val = g(float(x @ x), dim=2)
-    ref = multivariate_t.pdf(x, loc=[0, 0], shape=np.eye(2), df=nu)
-    assert_allclose(val, ref, rtol=1e-12)
-
-
-def test_generator_generalized_gaussian_normalizes():
-    g = DensityGenerator(GeneratorKind.GENERALIZED_GAUSSIAN, s=1.5, b=0.7)
-    total, _ = quad(lambda x: float(g(x * x, dim=1)), -20, 20)
-    assert_allclose(total, 1.0, atol=1e-8)
-    # s = b = 1 recovers the Gaussian profile
-    g1 = DensityGenerator(GeneratorKind.GENERALIZED_GAUSSIAN, s=1.0, b=1.0)
-    r = np.array([0.1, 1.0, 2.5])
-    assert_allclose(g1(r, dim=3), DensityGenerator(GeneratorKind.GAUSSIAN)(r, dim=3), rtol=1e-12)
-
-
-def test_generator_k_distribution_positive_and_normalized():
-    g = DensityGenerator(GeneratorKind.K_DISTRIBUTION, nu=2.0)
-    r = np.geomspace(1e-6, 50.0, 64)
-    assert (g(r, dim=1) > 0).all()
-    total, _ = quad(lambda x: float(g(x * x, dim=1)), -60, 60, limit=400)
-    assert_allclose(total, 1.0, atol=1e-6)
-
-
-def test_generator_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        DensityGenerator(GeneratorKind.GAUSSIAN)(np.array([-1.0]), dim=1)
 
 
 @pytest.mark.parametrize("cfg", [{"max_iter": 0}, {"tol": np.nan}, {"saem_burn_in": -1}])

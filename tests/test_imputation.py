@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gapkit.core import IncompleteMatrix, SeedSpec
@@ -8,11 +10,11 @@ from gapkit.em import GaussianParams, em_gaussian_fit
 from gapkit.imputation import (
     ImputerKind,
     ImputerSpec,
+    _knn_distance_matrix,
     impute_conditional_gaussian,
     impute_iterative,
     impute_knn,
     impute_mean,
-    knn_distance,
     multiple_impute,
 )
 from gapkit.mechanisms import MechanismKind, MechanismSpec, gen_mask
@@ -71,38 +73,37 @@ def test_mean_preserves_row_means_exactly():
 # -- knn ------------------------------------------------------------------
 
 
-def test_knn_distance_identical_columns():
-    X = IncompleteMatrix.from_complete(np.array([[1.0, 1.0], [2.0, 2.0]]))
-    assert knn_distance(X, 0, 1) == 0.0
+def _knn_distance_ref(X, j, l):
+    """sqrt(p / |S| * sum_{i in S} (X[i,j] - X[i,l])^2) over the rows S
+    observed in both columns, one pair at a time; +inf when S is empty."""
+    both = (X.mask[:, j] == 1) & (X.mask[:, l] == 1)
+    if not both.any():
+        return np.inf
+    diff = X.values[both, j] - X.values[both, l]
+    return float(np.sqrt(X.p / both.sum() * np.sum(diff**2)))
 
 
-def test_knn_distance_hand_value():
+def test_knn_distance_matrix_hand_values():
     vals = np.array([[1.0, 1.0], [2.0, 0.0], [0.0, 4.0]])
     mask = np.array([[1, 1], [1, 1], [0, 1]])
-    X = IncompleteMatrix(vals, mask)
-    assert_allclose(knn_distance(X, 0, 1), np.sqrt(6.0))
+    D = _knn_distance_matrix(IncompleteMatrix(vals, mask))
+    assert_allclose([D[0, 1], D[1, 0]], np.sqrt(6.0))
+    disjoint = IncompleteMatrix(np.ones((2, 2)), np.array([[1, 0], [0, 1]]))
+    D = _knn_distance_matrix(disjoint)
+    assert D[0, 1] == np.inf and D[1, 0] == np.inf
 
 
-def test_knn_distance_complete_case_is_euclidean():
-    rng = np.random.default_rng(4)
-    vals = rng.standard_normal((5, 2))
-    X = IncompleteMatrix.from_complete(vals)
-    assert_allclose(knn_distance(X, 0, 1), np.linalg.norm(vals[:, 0] - vals[:, 1]))
-
-
-def test_knn_distance_empty_intersection():
-    mask = np.array([[1, 0], [0, 1]])
-    X = IncompleteMatrix(np.ones((2, 2)), mask)
-    with pytest.raises(ValueError, match="no co-observed"):
-        knn_distance(X, 0, 1)
-
-
-def test_knn_distance_symmetry():
-    rng = np.random.default_rng(5)
-    X = _mcar(rng.standard_normal((6, 8)), 0.3, 6)
-    for j, l in [(0, 3), (2, 7), (4, 5)]:
-        assert_allclose(knn_distance(X, j, l), knn_distance(X, l, j))
-        assert knn_distance(X, j, j) == 0.0
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 8), st.integers(2, 11), st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+def test_knn_distance_matrix_matches_per_pair_reference(p, n, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    X = IncompleteMatrix(scale * rng.standard_normal((p, n)), (rng.random((p, n)) < 0.6).astype(np.int8))
+    D = _knn_distance_matrix(X)
+    off = ~np.eye(n, dtype=bool)
+    ref = np.array([[_knn_distance_ref(X, j, l) for l in range(n)] for j in range(n)])
+    assert_allclose(D[off], ref[off], rtol=1e-8, atol=1e-11 * scale)
+    assert np.array_equal(D, D.T)
 
 
 def test_knn_single_donor_copies():
@@ -226,6 +227,12 @@ def test_iterative_convergence_flag_matches_change():
     spec2 = ImputerSpec(ImputerKind.ITERATIVE, max_sweeps=200, tol=1e-8)
     res2 = impute_iterative(X, spec2)
     assert res2.converged and res2.changes[-1] < 1e-8
+
+
+@pytest.mark.parametrize("sweeps", [0, -3, 2.0, True])
+def test_iterative_spec_rejects_max_sweeps_below_one(sweeps):
+    with pytest.raises(ValueError, match="max_sweeps must be an integer >= 1"):
+        ImputerSpec(ImputerKind.ITERATIVE, max_sweeps=sweeps)
 
 
 def test_iterative_keeps_observed():

@@ -8,7 +8,6 @@ from gapkit.mechanisms import (
     PatternClass,
     classify_pattern,
     gen_mask,
-    is_ignorable,
 )
 
 
@@ -168,13 +167,6 @@ def test_classifier_never_returns_random():
     for _ in range(50):
         mask = (rng.random((4, 6)) < 0.6).astype(int)
         assert classify_pattern(mask) is not PatternClass.RANDOM
-
-
-def test_is_ignorable():
-    assert is_ignorable(MechanismKind.MCAR, True) is True
-    assert is_ignorable(MechanismKind.MNAR_SELF_MASK, True) is False
-    assert is_ignorable(MechanismKind.MAR, False) is False
-    assert is_ignorable(MechanismKind.MAR, True) is True
 
 
 @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (-1, 2)])

@@ -15,7 +15,6 @@ from gapkit.mnar import (
     _logistic_newton,
     _SamplerState,
     _sample_tilted_batch,
-    sample_missing_entry,
     sem_selection_fit,
 )
 
@@ -97,13 +96,8 @@ def test_sampler_low_acceptance_reaches_grid_fallback():
 
 
 def test_sampler_sigma_collapse():
-    val = sample_missing_entry((2.0, 1e-8), (0.0, 1.0), SeedSpec(4))
+    val = _sample_tilted_batch(2.0, 1e-8, (0.0, 1.0), 1, SeedSpec(4).rng())[0]
     assert abs(val - 2.0) < 1e-6
-
-
-def test_sampler_rejects_bad_sigma():
-    with pytest.raises(ValueError):
-        sample_missing_entry((0.0, -1.0), (0.0, 0.0), SeedSpec(5))
 
 
 # -- SEM fitter ---------------------------------------------------------------
