@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import IncompleteMatrix
+from .core import IncompleteMatrix, _check_count, _check_nonnegative, _check_positive
 from .imputation import impute_mean
 
 
@@ -28,11 +28,6 @@ class SoftImputeResult:
     converged: bool
 
 
-def _check_stopping(tol: float, max_iter: int) -> None:
-    if not tol > 0 or max_iter < 1:
-        raise ValueError(f"need tol > 0 and max_iter >= 1, got tol={tol}, max_iter={max_iter}")
-
-
 def hard_impute(
     Y: IncompleteMatrix,
     r: int,
@@ -47,9 +42,11 @@ def hard_impute(
     Y; stops when the relative Frobenius change of the iterate drops below
     tol.
     """
-    if not 1 <= r <= min(Y.p, Y.n):
+    _check_count("r", r, 1)
+    if r > min(Y.p, Y.n):
         raise ValueError(f"rank r={r} must lie in [1, min(p, n)]")
-    _check_stopping(tol, max_iter)
+    _check_positive("tol", tol)
+    _check_count("max_iter", max_iter, 1)
     obs = Y.mask == 1
     cur = np.array(init, dtype=float) if init is not None else impute_mean(Y)
     if cur.shape != Y.shape:
@@ -84,9 +81,9 @@ def soft_impute(
     shrunk iterate, so observed entries are fitted through the penalty and
     move off Y, not pinned.
     """
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"lam must be nonnegative and finite, got {lam}")
-    _check_stopping(tol, max_iter)
+    _check_nonnegative("lam", lam)
+    _check_positive("tol", tol)
+    _check_count("max_iter", max_iter, 1)
     obs = Y.mask == 1
     Yobs = Y.filled(0.0)
     Z = np.array(init, dtype=float) if init is not None else impute_mean(Y)

@@ -1,4 +1,4 @@
-"""Shared data model for incomplete matrices, seeding, metrics and CSV I/O.
+"""Shared data model for incomplete matrices, seeding, parameter checks, metrics and CSV I/O.
 
 Everything in the toolkit consumes a p x n data matrix together with a 0/1
 observation mask. Missing entries carry NaN in memory so that any code path
@@ -145,6 +145,27 @@ def split_column(X: IncompleteMatrix, j: int) -> ColumnSplit:
     observed = np.flatnonzero(col_mask == 1)
     missing = np.flatnonzero(col_mask == 0)
     return ColumnSplit(observed, missing, X.values[observed, j].copy())
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """ValueError unless value is an integer no smaller than least; a bool is no integer here."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _check_nonnegative(name: str, value) -> None:
+    if not 0 <= value < np.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_rows(X: IncompleteMatrix) -> None:
+    if (X.mask.sum(axis=1) < 2).any():
+        raise ValueError("every row must be observed at least twice")
 
 
 def _parity_halves(sites: NDArray) -> list[NDArray]:

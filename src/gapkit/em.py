@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import ColumnSplit, IncompleteMatrix, SeedSpec
+from .core import ColumnSplit, IncompleteMatrix, SeedSpec, _check_count, _check_positive, _check_rows
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -46,8 +46,7 @@ class StudentTParams(GaussianParams):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.nu > 0:
-            raise ValueError("nu must be positive")
+        _check_positive("nu", self.nu)
 
 
 def _check_spd(sigma, p):
@@ -84,14 +83,10 @@ class EmConfig:
     saem_burn_in: int = 20
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.mcem_draws < 1:
-            raise ValueError("mcem_draws must be >= 1")
-        if self.saem_burn_in < 0:
-            raise ValueError(f"saem_burn_in must be >= 0, got {self.saem_burn_in}")
+        _check_positive("tol", self.tol)
+        _check_count("max_iter", self.max_iter, 1)
+        _check_count("mcem_draws", self.mcem_draws, 1)
+        _check_count("saem_burn_in", self.saem_burn_in, 0)
 
     def saem_gamma(self, k: int) -> float:
         """Step weight for (1-based) iteration k."""
@@ -295,11 +290,6 @@ def default_gaussian_init(X: IncompleteMatrix) -> GaussianParams:
     dev = Xc - mu[:, None]
     sigma = _spd_floor(dev @ dev.T / X.n, rel=1e-6)
     return GaussianParams(mu, sigma)
-
-
-def _check_rows(X: IncompleteMatrix):
-    if (X.mask.sum(axis=1) < 2).any():
-        raise ValueError("every row must be observed at least twice")
 
 
 def _em_loop(params, cfg: EmConfig, estep, m_step) -> EmFit:

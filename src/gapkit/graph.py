@@ -17,7 +17,7 @@ from functools import cache
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import IncompleteMatrix
+from .core import IncompleteMatrix, _check_count, _check_nonnegative, _check_positive
 
 # recover_tv's step balance: b = _TV_BALANCE / sd per column, sd the
 # standard deviation of the column's start, so iterates scale with the data
@@ -79,16 +79,6 @@ def _innovations(X: NDArray, A: NDArray) -> NDArray:
     E[:, 0] = X[:, 0]
     E[:, 1:] = X[:, 1:] - A @ X[:, :-1]
     return E
-
-
-def _check_count(name: str, value, least: int) -> None:
-    if not (isinstance(value, (int, np.integer)) and value >= least):
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def _check_nonnegative(name: str, value) -> None:
-    if not 0 <= value < np.inf:
-        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
 
 
 def _check_reachable(W: NDArray, observed: NDArray) -> None:
@@ -181,10 +171,9 @@ class RecoveryConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
-            raise ValueError("alpha and beta must be nonnegative and finite")
-        if not 0 < self.delta < np.inf:
-            raise ValueError("delta must be positive and finite")
+        _check_nonnegative("alpha", self.alpha)
+        _check_nonnegative("beta", self.beta)
+        _check_positive("delta", self.delta)
         _check_count("max_iter", self.max_iter, 1)
         _check_nonnegative("tol", self.tol)
 
@@ -587,11 +576,10 @@ def stsrgl_fit(
     decrease every cycle, and an increase beyond slack aborts with a
     diagnostic.
     """
-    if iters < 1 or not (0 < sigma_n2 < np.inf and 0 <= alpha_a < np.inf and 0 <= alpha_l < np.inf):
-        raise ValueError(
-            "stsrgl_fit needs iters >= 1, sigma_n2 > 0 and nonnegative alpha_a, alpha_l, all finite; "
-            f"got {iters}, {sigma_n2}, {alpha_a}, {alpha_l}"
-        )
+    _check_count("iters", iters, 1)
+    _check_positive("sigma_n2", sigma_n2)
+    _check_nonnegative("alpha_a", alpha_a)
+    _check_nonnegative("alpha_l", alpha_l)
     for name, count in (("x_sweeps", x_sweeps), ("a_steps", a_steps), ("gmrf_iters", gmrf_iters)):
         _check_count(name, count, 0)
     p, n = Y.shape

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .completion import hard_impute, soft_impute
-from .core import IncompleteMatrix, SeedSpec, format_float, read_matrix_csv, rmse_missing
+from .core import IncompleteMatrix, SeedSpec, _check_count, format_float, read_matrix_csv, rmse_missing
 from .imputation import ImputerKind, ImputerSpec, run_imputer
 from .mechanisms import MechanismKind, MechanismSpec, gen_mask
 from .timeseries import _initial_fill
@@ -40,8 +40,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
+        try:
+            _check_count("replicates", self.replicates, 1)
+        except ValueError as exc:
+            raise ConfigError(exc) from None
         self.metrics = tuple(self.metrics)
         path = self.dataset.get("path")
         if path is not None and not os.path.exists(path):

@@ -7,7 +7,7 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import IncompleteMatrix, SeedSpec
+from .core import IncompleteMatrix, SeedSpec, _check_count, _check_nonnegative, _check_positive
 from .em import GaussianParams, _completed, _condition_all, em_gaussian_fit
 
 DIVERGENCE_CAP = 1e8
@@ -37,15 +37,10 @@ class ImputerSpec:
     params: GaussianParams | None = None  # optional fixed model for condgauss
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.ridge_penalty < 0:
-            raise ValueError("ridge_penalty must be nonnegative")
-        sweeps = self.max_sweeps
-        if isinstance(sweeps, bool) or not isinstance(sweeps, (int, np.integer)) or sweeps < 1:
-            raise ValueError("max_sweeps must be an integer >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        _check_count("k", self.k, 1)
+        _check_nonnegative("ridge_penalty", self.ridge_penalty)
+        _check_count("max_sweeps", self.max_sweeps, 1)
+        _check_positive("tol", self.tol)
 
     @property
     def is_stochastic(self) -> bool:
@@ -89,8 +84,7 @@ def impute_knn(X: IncompleteMatrix, k: int) -> NDArray:
     one co-observed row with column j; ties in distance go to the smaller
     column index, so the result is deterministic.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_count("k", k, 1)
     dist = _knn_distance_matrix(X)
     out = X.values.copy()
     for i, j in zip(*np.nonzero(X.mask == 0)):
@@ -132,14 +126,13 @@ def impute_iterative(
     Starts from the mean imputation; each sweep refits a ridge regression of
     every gappy row on all other rows (over the columns where that row is
     observed) and re-imputes its holes. Stops when the largest entry change
-    in a sweep falls below spec.tol. A non-finite tol makes the stopping rule
-    vacuous, so the mean-imputed start is returned untouched.
+    in a sweep falls below spec.tol.
     """
     spec = spec or ImputerSpec(ImputerKind.ITERATIVE)
     rng = seed.rng()
     cur = impute_mean(X)
     holes = X.mask == 0
-    if not np.isfinite(spec.tol) or not holes.any():
+    if not holes.any():
         return IterativeResult(cur, 0, np.empty(0), True)
     gappy_rows = np.flatnonzero(holes.any(axis=1))
     changes = []
@@ -206,8 +199,7 @@ def multiple_impute(
     A conditional-Gaussian spec without params fits its model once, by exact
     EM, and every draw conditions on that fit.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    _check_count("K", K, 1)
     if not base.is_stochastic:
         raise ValueError("multiple imputation requires stochasticity")
     if base.kind is ImputerKind.CONDITIONAL_GAUSSIAN and base.params is None:

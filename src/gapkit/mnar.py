@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import IncompleteMatrix, SeedSpec
+from .core import IncompleteMatrix, SeedSpec, _check_count, _check_rows
 from .mechanisms import _sigmoid
 
 REJECTION_BUDGET = 10_000  # proposals per requested entry before the grid fallback
@@ -185,14 +185,13 @@ def sem_selection_fit(
     estimate_phi=False to hold the mechanism at init_phi (the chain then
     reduces to stochastic Gaussian EM under that fixed mechanism).
     """
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    _check_count("burn_in", burn_in, 0)
+    _check_count("iters", iters, 1)
     if iters <= burn_in:
         raise ValueError("iters must exceed burn_in")
     if not np.isfinite(init_phi).all():
         raise ValueError(f"init_phi must be finite, got {init_phi}")
-    if (X.mask.sum(axis=1) < 2).any():
-        raise ValueError("every row needs at least two observed entries")
+    _check_rows(X)
     p, n = X.shape
     if init_theta is None:
         obs_counts = X.mask.sum(axis=1)

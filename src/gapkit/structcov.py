@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import IncompleteMatrix
+from .core import IncompleteMatrix, _check_count, _check_positive
 from .em import EmConfig, EmFit, GaussianParams, _fit_gaussian
 
 
@@ -30,10 +30,10 @@ class CovStructure:
     sigma_known: float = 1.0
 
     def __post_init__(self):
-        if self.kind is StructureKind.FACTOR_MODEL and self.r < 1:
-            raise ValueError("factor rank r must be >= 1")
-        if self.kind is StructureKind.NOISE_FLOOR and not 0 < self.sigma_known < np.inf:
-            raise ValueError("sigma_known must be positive and finite")
+        if self.kind is StructureKind.FACTOR_MODEL:
+            _check_count("r", self.r, 1)
+        else:
+            _check_positive("sigma_known", self.sigma_known)
 
     def project(self, sigma):
         if self.kind is StructureKind.FACTOR_MODEL:

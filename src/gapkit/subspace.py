@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import SeedSpec
+from .core import SeedSpec, _check_count, _check_nonnegative, _check_positive
 
 PRECISION_INIT = 1e3
 CONDITION_CAP = 1e12
@@ -48,15 +48,10 @@ class RobustConfig:
     alpha_reg: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.rho < np.inf:
-            raise ValueError("rho must be positive and finite")
-        if not 0 <= self.alpha_reg < np.inf:
-            raise ValueError("alpha_reg must be nonnegative and finite")
-        iters = self.admm_iters
-        if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
-            raise ValueError("admm_iters must be an integer >= 1")
-        if not 0 < self.admm_tol < np.inf:
-            raise ValueError("admm_tol must be positive and finite")
+        _check_positive("rho", self.rho)
+        _check_nonnegative("alpha_reg", self.alpha_reg)
+        _check_count("admm_iters", self.admm_iters, 1)
+        _check_positive("admm_tol", self.admm_tol)
 
 
 @dataclass
@@ -71,8 +66,9 @@ def petrels_init(
     p: int, r: int, seed: SeedSpec = SeedSpec(0), lambda_forget: float = 0.98
 ) -> TrackerState:
     """Random orthonormal basis plus warm-start RLS precisions."""
-    if not 1 <= r <= p:
-        raise ValueError("need 1 <= r <= p")
+    _check_count("r", r, 1)
+    if r > p:
+        raise ValueError(f"need r <= p, got r={r}, p={p}")
     if not 0.0 < lambda_forget <= 1.0:
         raise ValueError("lambda_forget must lie in (0, 1]")
     rng = seed.rng()

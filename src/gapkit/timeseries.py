@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import SeedSpec, _parity_halves
+from .core import SeedSpec, _check_count, _check_positive, _parity_halves
 from .em import NU_GRID, EmConfig, _student_loglik, _texture_weights
 
 
@@ -33,14 +33,12 @@ class Ar1StudentParams:
     enforce_stationarity: bool = False
 
     def __post_init__(self):
-        if not np.isfinite([self.mu, self.a, self.sigma, self.nu]).all():
-            raise ValueError("mu, a, sigma and nu must be finite")
+        if not np.isfinite([self.mu, self.a]).all():
+            raise ValueError("mu and a must be finite")
         if not math.isfinite(self.a * self.a):
             raise ValueError(f"a = {self.a!r} is explosive: a**2 overflows")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
+        _check_positive("sigma", self.sigma)
+        _check_positive("nu", self.nu)
         if self.enforce_stationarity and not abs(self.a) < 1:
             raise ValueError("|a| < 1 required when stationarity is enforced")
 
@@ -210,8 +208,8 @@ def ar1t_multiple_impute(
     Raises FloatingPointError when a draw is not finite, as when the
     parameters overflow the conditional means or precisions.
     """
-    if K < 1 or sweeps < 1:
-        raise ValueError(f"K and sweeps must be >= 1, got K={K}, sweeps={sweeps}")
+    _check_count("K", K, 1)
+    _check_count("sweeps", sweeps, 1)
     y = np.asarray(y, dtype=float).reshape(-1)
     observed = np.isfinite(y)
     if observed.sum() < 1:

@@ -528,7 +528,7 @@ def test_track_robust_matches_library_loop(runner, tmp_path):
 @pytest.mark.parametrize(
     "extra, truth, message",
     [
-        (["--rank", "0"], None, "r <= p"),
+        (["--rank", "0"], None, "r must be an integer >= 1, got 0"),
         (["--rank", "13"], None, "r <= p"),
         (["--forget", "0"], None, "lambda_forget"),
         (["--forget", "1.5"], None, "lambda_forget"),
@@ -694,8 +694,11 @@ def _probe_files(tmp_path):
 
 
 _PROBES = [
-    ("knn_k0", ["impute", "--in", "{gappy}", "--method", "knn", "--k", "0", "--out", "{out}"], "k must be >= 1"),
+    ("knn_k0", ["impute", "--in", "{gappy}", "--method", "knn", "--k", "0", "--out", "{out}"],
+     "k must be an integer >= 1, got 0"),
     ("estimate_tol_neg", ["estimate", "--in", "{gappy}", "--tol", "-1"], "tol must be positive"),
+    ("estimate_tol_inf", ["estimate", "--in", "{gappy}", "--tol", "inf"],
+     "tol must be positive and finite, got inf"),
     ("mask_rate_over_1", ["mask", "--mechanism", "mcar", "--rate", "1.5", "--shape", "3", "4", "--out", "{out}"],
      "rate"),
     ("mask_driver_row", ["mask", "--mechanism", "mar", "--driver-row", "9", "--data", "{full}", "--out", "{out}"],
@@ -703,12 +706,14 @@ _PROBES = [
     ("learn_all_zero", ["graph", "learn", "--in", "{zero}", "--out", "{out}"], "all-zero"),
     ("out_in_missing_dir", ["impute", "--in", "{gappy}", "--out", "{nodir}"], "No such file"),
     ("ts_fit_dir", ["ts-fit", "--in", "{dir}"], "directory"),
-    ("draws0", ["impute", "--in", "{gappy}", "--draws", "0", "--out", "{out}"], "K must be >= 1"),
-    ("draws_neg", ["impute", "--in", "{gappy}", "--draws", "-1", "--out", "{out}"], "K must be >= 1"),
-    ("estimate_maxiter0", ["estimate", "--in", "{gappy}", "--maxiter", "0"], "max_iter must be >= 1"),
+    ("draws0", ["impute", "--in", "{gappy}", "--draws", "0", "--out", "{out}"], "K must be an integer >= 1, got 0"),
+    ("draws_neg", ["impute", "--in", "{gappy}", "--draws", "-1", "--out", "{out}"],
+     "K must be an integer >= 1, got -1"),
+    ("estimate_maxiter0", ["estimate", "--in", "{gappy}", "--maxiter", "0"],
+     "max_iter must be an integer >= 1, got 0"),
     ("mask_shape0", ["mask", "--mechanism", "mcar", "--shape", "0", "4", "--out", "{out}"], "mask shape"),
     ("joint_iters0", ["graph", "joint", "--in", "{gappy}", "--iters", "0", "--out-prefix", "{out}"],
-     "iters >= 1"),
+     "iters must be an integer >= 1, got 0"),
     ("learn_gmrf_alpha_neg", ["graph", "learn", "--in", "{full}", "--alpha", "-1", "--out", "{out}"],
      "alpha must be nonnegative"),
     ("learn_var_alpha_neg",
@@ -721,11 +726,15 @@ _PROBES = [
                              "--alpha", "2", "--out", "{out}"],
      "--alpha applies to --smoothness tikhonov with --fidelity squared or huber only"),
     ("mnar_fit_burnin_neg", ["mnar-fit", "--in", "{gappy}", "--iters", "3", "--burnin", "-1"],
-     "burn_in must be >= 0"),
-    ("complete_maxiter0", ["complete", "--in", "{gappy}", "--maxiter", "0", "--out", "{out}"], "max_iter >= 1"),
-    ("complete_tol_neg", ["complete", "--in", "{gappy}", "--tol", "-1", "--out", "{out}"], "tol > 0"),
+     "burn_in must be an integer >= 0, got -1"),
+    ("complete_maxiter0", ["complete", "--in", "{gappy}", "--maxiter", "0", "--out", "{out}"],
+     "max_iter must be an integer >= 1, got 0"),
+    ("complete_tol_neg", ["complete", "--in", "{gappy}", "--tol", "-1", "--out", "{out}"],
+     "tol must be positive and finite, got -1.0"),
+    ("complete_tol_inf", ["complete", "--in", "{gappy}", "--tol", "inf", "--out", "{out}"],
+     "tol must be positive and finite, got inf"),
     ("joint_sigma_n2_neg", ["graph", "joint", "--in", "{gappy}", "--sigma-n2", "-1", "--out-prefix", "{out}"],
-     "sigma_n2 > 0"),
+     "sigma_n2 must be positive and finite, got -1.0"),
     # options the chosen mode ignores
     ("complete_hard_lam", ["complete", "--in", "{gappy}", "--lam", "2", "--out", "{out}"],
      "--lam applies to --mode soft only"),
@@ -773,7 +782,8 @@ _PROBES = [
      "missing config section: 'method'"),
     ("bench_unread_key", ["bench", "--config", "{unread_key_cfg}", "--out-dir", "{dir}"],
      "[dataset] sede is not read under kind = gaussian"),
-    ("bench_knn_k0", ["bench", "--config", "{knn_k0_cfg}", "--out-dir", "{dir}"], "[method] k must be >= 1"),
+    ("bench_knn_k0", ["bench", "--config", "{knn_k0_cfg}", "--out-dir", "{dir}"],
+     "[method] k must be an integer >= 1, got 0"),
     ("bench_max_sweeps_neg", ["bench", "--config", "{sweeps_cfg}", "--out-dir", "{dir}"],
      "[method] max_sweeps must be an integer >= 1"),
     ("ts_impute_explosive_a", ["ts-impute", "--in", "{series}", "--mu", "0", "--a", "1e300", "--sigma", "1",

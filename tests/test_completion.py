@@ -152,10 +152,11 @@ def test_nuclear_objective_values():
 
 @pytest.mark.parametrize("complete", [lambda Y, **kw: hard_impute(Y, 1, **kw),
                                       lambda Y, **kw: soft_impute(Y, 0.5, **kw)], ids=["hard", "soft"])
-@pytest.mark.parametrize("stop", [{"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan}, {"max_iter": 0}])
+@pytest.mark.parametrize("stop", [{"tol": 0.0}, {"tol": -1.0}, {"tol": np.nan}, {"max_iter": 0}, {"tol": np.inf}])
 def test_completion_rejects_bad_stopping_rule(complete, stop):
     Y = IncompleteMatrix([[1.0, 2.0], [3.0, 0.0]], [[1, 1], [1, 0]])
-    with pytest.raises(ValueError, match="tol > 0 and max_iter >= 1"):
+    message = {"tol": "tol must be positive and finite", "max_iter": "max_iter must be an integer >= 1"}
+    with pytest.raises(ValueError, match=message[next(iter(stop))]):
         complete(Y, **stop)
 
 

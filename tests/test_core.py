@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from gapkit.completion import hard_impute, soft_impute
 from gapkit.core import (
     IncompleteMatrix,
     SeedSpec,
@@ -17,6 +18,14 @@ from gapkit.core import (
     write_mask_csv,
     write_matrix_csv,
 )
+from gapkit.em import EmConfig, StudentTParams
+from gapkit.graph import RecoveryConfig, gmrf_learn, recover_tv, stsrgl_fit, var_learn
+from gapkit.harness import ExperimentConfig
+from gapkit.imputation import ImputerKind, ImputerSpec, impute_knn, multiple_impute
+from gapkit.mnar import sem_selection_fit
+from gapkit.structcov import CovStructure, StructureKind
+from gapkit.subspace import RobustConfig, petrels_init
+from gapkit.timeseries import Ar1StudentParams, ar1t_multiple_impute
 
 
 def test_incomplete_matrix_validation():
@@ -275,3 +284,72 @@ def test_read_matrix_csv_rejects_infinite_value(tmp_path, token):
     (tmp_path / "m.csv").write_text("1,0\n1,0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="finite value at row 0, column 1"):
         read_matrix_csv(path, tmp_path / "m.csv")
+
+
+_Y = IncompleteMatrix([[1.0, 2.0, 3.0], [4.0, 0.0, 6.0], [7.0, 8.0, 0.0]], [[1, 1, 1], [1, 0, 1], [1, 1, 0]])
+_PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+_AR1 = Ar1StudentParams(0.0, 0.5, 1.0, 5.0)
+# every parameter check of the library: (site, parameter, kind, call with the value);
+# a count is an integer, not a bool, and a real parameter is finite
+_SITES = [
+    ("RecoveryConfig", "alpha", "real", lambda v: RecoveryConfig(alpha=v)),
+    ("RecoveryConfig", "beta", "real", lambda v: RecoveryConfig(beta=v)),
+    ("RecoveryConfig", "delta", "real", lambda v: RecoveryConfig(delta=v)),
+    ("RecoveryConfig", "max_iter", "count", lambda v: RecoveryConfig(max_iter=v)),
+    ("RecoveryConfig", "tol", "real", lambda v: RecoveryConfig(tol=v)),
+    *[("stsrgl_fit", name, kind, lambda v, name=name: stsrgl_fit(_Y, **{name: v}))
+      for name, kind in (("iters", "count"), ("sigma_n2", "real"), ("alpha_a", "real"), ("alpha_l", "real"),
+                         ("x_sweeps", "count"), ("a_steps", "count"), ("gmrf_iters", "count"))],
+    ("gmrf_learn", "alpha", "real", lambda v: gmrf_learn(np.eye(3), v)),
+    ("gmrf_learn", "max_iter", "count", lambda v: gmrf_learn(np.eye(3), 0.1, max_iter=v)),
+    ("gmrf_learn", "tol", "real", lambda v: gmrf_learn(np.eye(3), 0.1, tol=v)),
+    ("var_learn", "alpha", "real", lambda v: var_learn(np.ones((3, 4)), v)),
+    ("recover_tv", "max_iter", "count", lambda v: recover_tv(_Y, _PATH3, max_iter=v)),
+    ("RobustConfig", "rho", "real", lambda v: RobustConfig(rho=v)),
+    ("RobustConfig", "alpha_reg", "real", lambda v: RobustConfig(alpha_reg=v)),
+    ("RobustConfig", "admm_iters", "count", lambda v: RobustConfig(admm_iters=v)),
+    ("RobustConfig", "admm_tol", "real", lambda v: RobustConfig(admm_tol=v)),
+    ("petrels_init", "r", "count", lambda v: petrels_init(4, v)),
+    ("ImputerSpec", "k", "count", lambda v: ImputerSpec(ImputerKind.KNN, k=v)),
+    ("ImputerSpec", "ridge_penalty", "real", lambda v: ImputerSpec(ImputerKind.ITERATIVE, ridge_penalty=v)),
+    ("ImputerSpec", "max_sweeps", "count", lambda v: ImputerSpec(ImputerKind.ITERATIVE, max_sweeps=v)),
+    ("ImputerSpec", "tol", "real", lambda v: ImputerSpec(ImputerKind.ITERATIVE, tol=v)),
+    ("impute_knn", "k", "count", lambda v: impute_knn(_Y, v)),
+    ("multiple_impute", "K", "count",
+     lambda v: multiple_impute(_Y, ImputerSpec(ImputerKind.CONDITIONAL_GAUSSIAN, add_noise=True), v)),
+    ("hard_impute", "r", "count", lambda v: hard_impute(_Y, v)),
+    ("hard_impute", "tol", "real", lambda v: hard_impute(_Y, 1, tol=v)),
+    ("hard_impute", "max_iter", "count", lambda v: hard_impute(_Y, 1, max_iter=v)),
+    ("soft_impute", "lam", "real", lambda v: soft_impute(_Y, v)),
+    ("soft_impute", "tol", "real", lambda v: soft_impute(_Y, 1.0, tol=v)),
+    ("soft_impute", "max_iter", "count", lambda v: soft_impute(_Y, 1.0, max_iter=v)),
+    ("EmConfig", "tol", "real", lambda v: EmConfig(tol=v)),
+    ("EmConfig", "max_iter", "count", lambda v: EmConfig(max_iter=v)),
+    ("EmConfig", "mcem_draws", "count", lambda v: EmConfig(mcem_draws=v)),
+    ("EmConfig", "saem_burn_in", "count", lambda v: EmConfig(saem_burn_in=v)),
+    ("StudentTParams", "nu", "real", lambda v: StudentTParams(np.zeros(2), np.eye(2), v)),
+    ("sem_selection_fit", "iters", "count", lambda v: sem_selection_fit(_Y, iters=v, burn_in=0)),
+    ("sem_selection_fit", "burn_in", "count", lambda v: sem_selection_fit(_Y, burn_in=v)),
+    ("ar1t_multiple_impute", "K", "count", lambda v: ar1t_multiple_impute(np.array([0.1, np.nan, 0.3]), _AR1, v)),
+    ("ar1t_multiple_impute", "sweeps", "count",
+     lambda v: ar1t_multiple_impute(np.array([0.1, np.nan, 0.3]), _AR1, 2, sweeps=v)),
+    ("Ar1StudentParams", "sigma", "real", lambda v: Ar1StudentParams(0.0, 0.5, v, 5.0)),
+    ("Ar1StudentParams", "nu", "real", lambda v: Ar1StudentParams(0.0, 0.5, 1.0, v)),
+    ("CovStructure", "r", "count", lambda v: CovStructure(StructureKind.FACTOR_MODEL, r=v)),
+    ("CovStructure", "sigma_known", "real", lambda v: CovStructure(StructureKind.NOISE_FLOOR, sigma_known=v)),
+    ("ExperimentConfig", "replicates", "count",
+     lambda v: ExperimentConfig({"kind": "gaussian"}, {"kind": "none"}, {}, replicates=v)),
+]
+_BAD = {"count": [2.5, True, np.nan, np.inf, -1], "real": [np.nan, np.inf, -1.0]}
+
+
+@pytest.mark.parametrize(
+    "name, call, value",
+    [pytest.param(name, call, value, id=f"{site}.{name}={value!r}")
+     for site, name, kind, call in _SITES for value in _BAD[kind]],
+)
+def test_parameter_checks_reject_bad_values(name, call, value):
+    with pytest.raises(ValueError) as err:
+        call(value)
+    message = str(err.value)
+    assert message.startswith(f"{name} must be ") and message.endswith(f", got {value!r}")

@@ -901,7 +901,8 @@ def test_huber_recovery_matches_cholesky_formula_bit_for_bit(cfg, side):
 
 @pytest.mark.parametrize(
     "kwargs, message",
-    [({"iters": 0}, "iters >= 1"), ({"sigma_n2": 0.0}, "sigma_n2 > 0"), ({"sigma_n2": np.nan}, "sigma_n2 > 0"),
+    [({"iters": 0}, "iters must be an integer >= 1"), ({"sigma_n2": 0.0}, "sigma_n2 must be positive and finite"),
+     ({"sigma_n2": np.nan}, "sigma_n2 must be positive and finite"),
      ({"alpha_a": -1.0}, "alpha_a"), ({"alpha_l": -0.1}, "alpha_l"), ({"alpha_l": np.inf}, "alpha_l"),
      ({"x_sweeps": -1}, "x_sweeps must be"), ({"a_steps": 2.5}, "a_steps must be"),
      ({"gmrf_iters": -1}, "gmrf_iters must be")],

@@ -209,13 +209,11 @@ def test_iterative_recovers_linear_relation():
     assert_allclose(res.X[1], 2.0 * row1, atol=1e-6)
 
 
-def test_iterative_infinite_tol_returns_mean_imputed():
-    rng = np.random.default_rng(15)
-    X = _mcar(rng.standard_normal((4, 30)), 0.2, 16)
-    spec = ImputerSpec(ImputerKind.ITERATIVE, tol=np.inf)
-    res = impute_iterative(X, spec)
-    assert res.sweeps == 0
-    assert_allclose(res.X, impute_mean(X))
+@pytest.mark.parametrize("tol", [np.inf, np.nan])
+def test_iterative_spec_rejects_non_finite_tol(tol):
+    # an infinite tol would stop before the first sweep and return the mean imputation
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        ImputerSpec(ImputerKind.ITERATIVE, tol=tol)
 
 
 def test_iterative_convergence_flag_matches_change():

@@ -165,7 +165,7 @@ def test_sem_requires_iters_above_burnin():
 def test_sem_rejects_negative_burnin(iters):
     # a negative burn_in would average the last draws only, or an empty chain
     X = _self_masked_fixture(0, phi1=0.0)
-    with pytest.raises(ValueError, match="burn_in must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="burn_in must be an integer >= 0, got -1"):
         sem_selection_fit(X, iters=iters, burn_in=-1)
 
 
