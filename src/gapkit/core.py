@@ -40,9 +40,7 @@ class IncompleteMatrix:
         if values.ndim != 2:
             raise ValueError("values must be a 2-D matrix")
         if values.shape != mask.shape:
-            raise ValueError(
-                f"shape mismatch: values {values.shape} vs mask {mask.shape}"
-            )
+            raise ValueError(f"shape mismatch: values {values.shape} vs mask {mask.shape}")
         if not np.isin(mask, (0, 1)).all():
             raise ValueError("mask entries must be exactly 0 or 1")
         mask = mask.astype(np.int8)
@@ -161,6 +159,11 @@ def _check_nonnegative(name: str, value) -> None:
 def _check_positive(name: str, value) -> None:
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _check_finite(name: str, value) -> None:
+    if not np.isfinite(value).all():
+        raise ValueError(f"{name} must be finite, without NaN or inf entries")
 
 
 def _check_rows(X: IncompleteMatrix) -> None:

@@ -16,7 +16,8 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import ColumnSplit, IncompleteMatrix, SeedSpec, _check_count, _check_positive, _check_rows
+from .core import ColumnSplit, IncompleteMatrix, SeedSpec
+from .core import _check_count, _check_finite, _check_positive, _check_rows
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -31,6 +32,7 @@ class GaussianParams:
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=float).reshape(-1)
         self.sigma = np.asarray(self.sigma, dtype=float)
+        _check_finite("mu", self.mu)
         _check_spd(self.sigma, len(self.mu))
 
     @property
@@ -52,6 +54,7 @@ class StudentTParams(GaussianParams):
 def _check_spd(sigma, p):
     if sigma.shape != (p, p):
         raise ValueError(f"sigma must be {p}x{p}")
+    _check_finite("sigma", sigma)
     scale = max(np.abs(sigma).max(), 1e-300)
     if np.abs(sigma - sigma.T).max() > 1e-12 * scale:
         raise ValueError("sigma must be symmetric")
@@ -309,8 +312,6 @@ def _em_loop(params, cfg: EmConfig, estep, m_step) -> EmFit:
     trace = [loglik]
     mu_trace = [params.mu.copy()]
     smooth = None  # SAEM running statistics
-    converged = False
-    it = 0
     for it in range(1, cfg.max_iter + 1):
         if cfg.e_variant is EVariant.EXACT:
             cur = stats(None)
@@ -324,9 +325,8 @@ def _em_loop(params, cfg: EmConfig, estep, m_step) -> EmFit:
         trace.append(loglik)
         mu_trace.append(params.mu.copy())
         if abs(trace[-1] - trace[-2]) < cfg.tol:
-            converged = True
             break
-    return EmFit(params, np.array(trace), converged, it, np.array(mu_trace))
+    return EmFit(params, np.array(trace), abs(trace[-1] - trace[-2]) < cfg.tol, it, np.array(mu_trace))
 
 
 def em_gaussian_fit(

@@ -17,7 +17,7 @@ from functools import cache
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import IncompleteMatrix, _check_count, _check_nonnegative, _check_positive
+from .core import IncompleteMatrix, _check_count, _check_finite, _check_nonnegative, _check_positive
 
 # recover_tv's step balance: b = _TV_BALANCE / sd per column, sd the
 # standard deviation of the column's start, so iterates scale with the data
@@ -139,8 +139,7 @@ class DirectedGraph:
         A = np.asarray(self.A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be square")
-        if not np.isfinite(A).all():
-            raise ValueError("A must be finite")
+        _check_finite("A", A)
         object.__setattr__(self, "A", A)
 
     def edges(self):
@@ -361,8 +360,7 @@ def _gmrf_solve(S, alpha, w0=None, max_iter=2000, tol=1e-7):
     _check_count("max_iter", max_iter, 0)
     _check_nonnegative("tol", tol)
     S = np.asarray(S, dtype=float)
-    if not np.isfinite(S).all():
-        raise ValueError("S must be finite, without NaN or inf entries")
+    _check_finite("S", S)
     p = S.shape[0]
     if S.shape != (p, p) or np.abs(S - S.T).max() > 1e-8 * max(np.abs(S).max(), 1e-300):
         raise ValueError("S must be a symmetric matrix")

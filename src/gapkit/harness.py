@@ -380,13 +380,7 @@ def compare_methods(configs: list[ExperimentConfig]) -> list[ComparisonRow]:
             raise ConfigError("configs must share dataset and mechanism")
         if other.seed != head.seed or other.replicates != head.replicates:
             raise ConfigError("configs must share seed and replicate count")
-    results = [run_experiment(c) for c in configs]
-    tables = []
-    for res in results:
-        table: dict = {}
-        for rep, metric, value in res.rows:
-            table[(rep, metric)] = value
-        tables.append(table)
+    tables = [{(rep, metric): value for rep, metric, value in run_experiment(c).rows} for c in configs]
     out = []
     for idx, (cfg, table) in enumerate(zip(configs, tables)):
         label = cfg.method.get("label") or _method_label(cfg.method, idx)

@@ -136,8 +136,6 @@ def impute_iterative(
         return IterativeResult(cur, 0, np.empty(0), True)
     gappy_rows = np.flatnonzero(holes.any(axis=1))
     changes = []
-    converged = False
-    sweeps = 0
     for sweeps in range(1, spec.max_sweeps + 1):
         prev = cur.copy()
         for i in gappy_rows:
@@ -159,9 +157,8 @@ def impute_iterative(
         change = float(np.abs(cur - prev).max())
         changes.append(change)
         if change < spec.tol:
-            converged = True
             break
-    return IterativeResult(cur, sweeps, np.array(changes), converged)
+    return IterativeResult(cur, sweeps, np.array(changes), changes[-1] < spec.tol)
 
 
 def _ridge_fit(A, y, penalty):

@@ -7,7 +7,7 @@ from enum import Enum
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import SeedSpec
+from .core import SeedSpec, _check_count, _check_finite
 
 
 def _sigmoid(x):
@@ -40,8 +40,7 @@ class MechanismSpec:
     def __post_init__(self):
         if self.kind is MechanismKind.MCAR and not 0.0 <= self.rate <= 1.0:
             raise ValueError("MCAR rate must lie in [0, 1]")
-        if not np.isfinite([self.phi0, self.phi1]).all():
-            raise ValueError("phi0 and phi1 must be finite")
+        _check_finite("phi0 and phi1", [self.phi0, self.phi1])
 
 
 class PatternClass(Enum):
@@ -61,8 +60,8 @@ def gen_mask(shape, spec: MechanismSpec, X=None, seed: SeedSpec = SeedSpec(0)) -
     observed.
     """
     p, n = shape
-    if p < 1 or n < 1:
-        raise ValueError(f"mask shape must be at least 1 x 1, got {p} x {n}")
+    _check_count("p", p, 1)
+    _check_count("n", n, 1)
     rng = seed.rng()
     if spec.kind is MechanismKind.MCAR:
         mask = (rng.random((p, n)) >= spec.rate).astype(np.int8)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import IncompleteMatrix, SeedSpec, _check_count, _check_rows
+from .core import IncompleteMatrix, SeedSpec, _check_count, _check_finite, _check_rows
 from .mechanisms import _sigmoid
 
 REJECTION_BUDGET = 10_000  # proposals per requested entry before the grid fallback
@@ -41,6 +41,8 @@ class SelectionParams:
         self.sigma = np.asarray(self.sigma, dtype=float).reshape(-1)
         if len(self.mu) != len(self.sigma):
             raise ValueError("mu and sigma must have equal length")
+        _check_finite("mu", self.mu)
+        _check_finite("sigma", self.sigma)
         if (self.sigma <= 0).any():
             raise ValueError("sigma entries must be positive")
 
@@ -189,8 +191,7 @@ def sem_selection_fit(
     _check_count("iters", iters, 1)
     if iters <= burn_in:
         raise ValueError("iters must exceed burn_in")
-    if not np.isfinite(init_phi).all():
-        raise ValueError(f"init_phi must be finite, got {init_phi}")
+    _check_finite("init_phi", init_phi)
     _check_rows(X)
     p, n = X.shape
     if init_theta is None:

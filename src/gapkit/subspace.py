@@ -66,6 +66,7 @@ def petrels_init(
     p: int, r: int, seed: SeedSpec = SeedSpec(0), lambda_forget: float = 0.98
 ) -> TrackerState:
     """Random orthonormal basis plus warm-start RLS precisions."""
+    _check_count("p", p, 1)
     _check_count("r", r, 1)
     if r > p:
         raise ValueError(f"need r <= p, got r={r}, p={p}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import SeedSpec, _check_count, _check_positive, _parity_halves
+from .core import SeedSpec, _check_count, _check_finite, _check_positive, _parity_halves
 from .em import NU_GRID, EmConfig, _student_loglik, _texture_weights
 
 
@@ -33,8 +33,7 @@ class Ar1StudentParams:
     enforce_stationarity: bool = False
 
     def __post_init__(self):
-        if not np.isfinite([self.mu, self.a]).all():
-            raise ValueError("mu and a must be finite")
+        _check_finite("mu and a", [self.mu, self.a])
         if not math.isfinite(self.a * self.a):
             raise ValueError(f"a = {self.a!r} is explosive: a**2 overflows")
         _check_positive("sigma", self.sigma)

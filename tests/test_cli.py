@@ -711,7 +711,7 @@ _PROBES = [
      "K must be an integer >= 1, got -1"),
     ("estimate_maxiter0", ["estimate", "--in", "{gappy}", "--maxiter", "0"],
      "max_iter must be an integer >= 1, got 0"),
-    ("mask_shape0", ["mask", "--mechanism", "mcar", "--shape", "0", "4", "--out", "{out}"], "mask shape"),
+    ("mask_shape0", ["mask", "--mechanism", "mcar", "--shape", "0", "4", "--out", "{out}"], "p must be an integer >= 1, got 0"),
     ("joint_iters0", ["graph", "joint", "--in", "{gappy}", "--iters", "0", "--out-prefix", "{out}"],
      "iters must be an integer >= 1, got 0"),
     ("learn_gmrf_alpha_neg", ["graph", "learn", "--in", "{full}", "--alpha", "-1", "--out", "{out}"],

@@ -1,11 +1,16 @@
+import warnings
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from gapkit import completion
 from gapkit.completion import hard_impute, soft_impute
 from gapkit.core import IncompleteMatrix, SeedSpec
+from gapkit.imputation import impute_mean
 from gapkit.mechanisms import MechanismKind, MechanismSpec, gen_mask
 
 
@@ -13,6 +18,15 @@ def nuclear_objective(X, Y, M, lam):
     """Reference 0.5 * ||M o (X - Y)||_F^2 + lam * ||X||_* with a full SVD."""
     resid = np.where(np.asarray(M) == 1, X - Y, 0.0)
     return 0.5 * float(np.sum(resid**2)) + lam * float(np.linalg.svd(X, compute_uv=False).sum())
+
+
+def svd_step(A, lam=0.0, r=None):
+    """Reference for completion._spectral_filter from a full SVD: U diag(s - lam)_+ V^T, or the
+    rank-r truncation given r, with the nonzero singular values of the result."""
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    kept = s[:r] if r is not None else np.maximum(s - lam, 0.0)
+    kept = kept[kept > 0]
+    return (U[:, : len(kept)] * kept) @ Vt[: len(kept)], kept
 
 
 def _lowrank(p, n, r, seed):
@@ -165,3 +179,62 @@ def test_soft_impute_rejects_bad_lambda(lam):
     Y = IncompleteMatrix([[1.0, 2.0], [3.0, 0.0]], [[1, 1], [1, 0]])
     with pytest.raises(ValueError, match="lam"):
         soft_impute(Y, lam)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+_SHAPES = {"tall": (9, 4), "wide": (4, 9), "square": (6, 6)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(sorted(_SHAPES)),
+    st.booleans(),
+    st.sampled_from(["zero", "1e-300", "drawn", "above s_max"]),
+    st.floats(0.02, 0.98),
+    st.floats(0.0, 0.5),
+    st.integers(0, 2**32 - 1),
+)
+def test_completion_matches_svd_reference(shape, deficient, lam_kind, frac, rate, seed):
+    # the Gram-eigendecomposition kernel against a full SVD in the same iteration
+    p, n = _SHAPES[shape]
+    rng = np.random.default_rng(seed)
+    vals = _lowrank(p, n, 1 if deficient else min(p, n), seed)
+    mask = (rng.random((p, n)) >= rate).astype(np.int8)
+    mask[:, 0] = 1
+    Y = IncompleteMatrix(vals, mask)
+    s_max = np.linalg.norm(impute_mean(Y), 2)
+    lam = {"zero": 0.0, "1e-300": 1e-300, "drawn": frac * s_max, "above s_max": 1.01 * s_max}[lam_kind]
+    r = 1 + int(frac * min(p, n))
+    got = soft_impute(Y, lam, tol=1e-9, max_iter=40), hard_impute(Y, r, tol=1e-9, max_iter=40)
+    with patch.object(completion, "_spectral_filter", svd_step):
+        ref = soft_impute(Y, lam, tol=1e-9, max_iter=40), hard_impute(Y, r, tol=1e-9, max_iter=40)
+    for a, b in zip(got, ref):
+        assert a.iters == b.iters
+        assert _rel(a.X, b.X) <= 1e-10
+    assert got[0].rank == ref[0].rank
+    assert_allclose(got[0].objective_trace, ref[0].objective_trace, rtol=1e-10, atol=1e-10 * s_max**2)
+
+
+@pytest.mark.parametrize("e", [-560, -520, 500])
+@pytest.mark.parametrize("solver", ["hard", "soft"])
+def test_completion_is_scale_free(solver, e):
+    # both solvers run on Y scaled to unit size by a power of two, so c Y gives c X with
+    # the same iterations; the Gram matrix of Y at these scales leaves the float range
+    vals = _lowrank(30, 20, 2, 21) + 0.1 * np.random.default_rng(22).standard_normal((30, 20))
+    mask = gen_mask((30, 20), MechanismSpec(MechanismKind.MCAR, rate=0.2), seed=SeedSpec(23))
+    c = 2.0**e
+
+    def run(scale):
+        Y = IncompleteMatrix(vals * scale, mask)
+        if solver == "hard":
+            return hard_impute(Y, 2, tol=1e-9)
+        return soft_impute(Y, 0.5 * scale, tol=1e-9)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        unit, scaled = run(1.0), run(c)
+    assert scaled.iters == unit.iters > 1
+    assert _rel(scaled.X / c, unit.X) <= 1e-12

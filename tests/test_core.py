@@ -22,6 +22,7 @@ from gapkit.em import EmConfig, StudentTParams
 from gapkit.graph import RecoveryConfig, gmrf_learn, recover_tv, stsrgl_fit, var_learn
 from gapkit.harness import ExperimentConfig
 from gapkit.imputation import ImputerKind, ImputerSpec, impute_knn, multiple_impute
+from gapkit.mechanisms import MechanismKind, MechanismSpec, gen_mask
 from gapkit.mnar import sem_selection_fit
 from gapkit.structcov import CovStructure, StructureKind
 from gapkit.subspace import RobustConfig, petrels_init
@@ -310,6 +311,9 @@ _SITES = [
     ("RobustConfig", "admm_iters", "count", lambda v: RobustConfig(admm_iters=v)),
     ("RobustConfig", "admm_tol", "real", lambda v: RobustConfig(admm_tol=v)),
     ("petrels_init", "r", "count", lambda v: petrels_init(4, v)),
+    ("petrels_init", "p", "count", lambda v: petrels_init(v, 1)),
+    ("gen_mask", "p", "count", lambda v: gen_mask((v, 3), MechanismSpec(MechanismKind.MCAR))),
+    ("gen_mask", "n", "count", lambda v: gen_mask((3, v), MechanismSpec(MechanismKind.MCAR))),
     ("ImputerSpec", "k", "count", lambda v: ImputerSpec(ImputerKind.KNN, k=v)),
     ("ImputerSpec", "ridge_penalty", "real", lambda v: ImputerSpec(ImputerKind.ITERATIVE, ridge_penalty=v)),
     ("ImputerSpec", "max_sweeps", "count", lambda v: ImputerSpec(ImputerKind.ITERATIVE, max_sweeps=v)),

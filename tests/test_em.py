@@ -333,6 +333,18 @@ def test_em_saem_variance_shrinks():
     assert late.var() < early.var()
 
 
+@pytest.mark.parametrize(
+    "mu, sigma, name",
+    [([0.0], [[np.inf]], "sigma"), ([0.0], [[np.nan]], "sigma"), ([np.nan], [[1.0]], "mu"), ([np.inf], [[1.0]], "mu")],
+)
+def test_gaussian_params_reject_non_finite(mu, sigma, name, recwarn):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        GaussianParams(mu, sigma)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        StudentTParams(mu, sigma, 4.0)
+    assert not recwarn.list  # rejected before any arithmetic on the bad entry
+
+
 def test_em_rejects_underobserved_rows():
     X = IncompleteMatrix(np.ones((2, 3)), [[1, 0, 0], [1, 1, 1]])
     with pytest.raises(ValueError, match="observed at least twice"):

@@ -171,7 +171,8 @@ def test_classifier_never_returns_random():
 
 @pytest.mark.parametrize("shape", [(0, 4), (3, 0), (-1, 2)])
 def test_gen_mask_rejects_empty_shape(shape):
-    with pytest.raises(ValueError, match="mask shape"):
+    name, value = ("p", shape[0]) if shape[0] < 1 else ("n", shape[1])
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1, got {value}$"):
         gen_mask(shape, MechanismSpec(MechanismKind.MCAR, rate=0.2))
 
 

@@ -263,3 +263,12 @@ def test_sem_three_rows_with_different_means():
         assert np.isfinite(chain).all()
     assert np.argsort(res.theta.mu).tolist() == [0, 1, 2]
     assert 120 <= res.rejection_rounds <= 240
+
+
+@pytest.mark.parametrize(
+    "mu, sigma, name", [([0.0], [np.inf], "sigma"), ([0.0], [np.nan], "sigma"), ([np.nan], [1.0], "mu")]
+)
+def test_selection_params_reject_non_finite(mu, sigma, name, recwarn):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SelectionParams(mu, sigma)
+    assert not recwarn.list
