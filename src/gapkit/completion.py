@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import IncompleteMatrix, _check_count, _check_nonnegative, _check_positive
+from .core import IncompleteMatrix, _check_count, _check_nonnegative, _check_positive, _unit_scale
 from .imputation import impute_mean
 
 
@@ -55,9 +55,7 @@ def _unit_scaled(Y: IncompleteMatrix, init: NDArray | None):
     start = np.array(init, dtype=float) if init is not None else impute_mean(Y)
     if start.shape != Y.shape:
         raise ValueError("init shape mismatch")
-    top = np.abs(Yobs).max()
-    k = 2.0 ** -max(round(np.log2(top)), -1000) if top > 0 else 1.0  # clamped: finite for subnormal Y
-    return Y.mask == 1, Yobs, start, k
+    return Y.mask == 1, Yobs, start, _unit_scale(np.abs(Yobs).max())
 
 
 def hard_impute(

@@ -166,6 +166,12 @@ def _check_finite(name: str, value) -> None:
         raise ValueError(f"{name} must be finite, without NaN or inf entries")
 
 
+def _unit_scale(top: float) -> float:
+    """The power of two nearest 1 / top (scaling by it rounds nothing), 1.0 at top = 0; the
+    exponent is clamped at 1022: exact for every normal top, finite for a subnormal one."""
+    return 2.0 ** -max(round(np.log2(top)), -1022) if top > 0 else 1.0
+
+
 def _check_rows(X: IncompleteMatrix) -> None:
     if (X.mask.sum(axis=1) < 2).any():
         raise ValueError("every row must be observed at least twice")

@@ -272,16 +272,19 @@ def _chol_psd(S):
         return V * np.sqrt(np.maximum(w, 0.0))
 
 
-def _spd_floor(sigma, rel=1e-8):
-    """Symmetrize and floor eigenvalues at rel * trace / p."""
+def _eig_floor(sigma, floor):
+    """Symmetrize, and floor the eigenvalues at floor if any lies below it."""
     sigma = 0.5 * (sigma + sigma.T)
-    p = sigma.shape[0]
-    floor = rel * max(np.trace(sigma), p * 1e-12) / p
     w, V = np.linalg.eigh(sigma)
     if w.min() >= floor:
         return sigma
-    w = np.maximum(w, floor)
-    return (V * w) @ V.T
+    return (V * np.maximum(w, floor)) @ V.T
+
+
+def _spd_floor(sigma, rel=1e-8):
+    """_eig_floor at rel * max(trace, p * tiny) / p: a relative floor in any units."""
+    p = sigma.shape[0]
+    return _eig_floor(sigma, rel * max(np.trace(sigma), p * np.finfo(float).tiny) / p)
 
 
 def default_gaussian_init(X: IncompleteMatrix) -> GaussianParams:

@@ -17,7 +17,8 @@ from functools import cache
 import numpy as np
 from numpy.typing import NDArray
 
-from .core import IncompleteMatrix, _check_count, _check_finite, _check_nonnegative, _check_positive
+from .core import (IncompleteMatrix, _check_count, _check_finite, _check_nonnegative, _check_positive,
+                   _unit_scale)
 
 # recover_tv's step balance: b = _TV_BALANCE / sd per column, sd the
 # standard deviation of the column's start, so iterates scale with the data
@@ -34,6 +35,13 @@ def _lapack():
     from scipy.linalg import lapack
 
     return lapack
+
+
+def _spd_solve(H: NDArray, rhs: NDArray) -> NDArray:
+    """H^-1 rhs by one LAPACK dposv (Cholesky). H is SPD unless beta = 0 and a graph
+    component carries no data weight; least squares then picks the minimum-norm solution."""
+    _f, x, info = _lapack().dposv(H, rhs)
+    return np.linalg.lstsq(H, rhs, rcond=None)[0] if info > 0 else x
 
 
 def _laplacian(W: NDArray) -> NDArray:
@@ -214,15 +222,13 @@ def recover_tikhonov(
     L = _laplacian(W)
     out = Y.values.copy()
     if cfg.fidelity is FidelityKind.EXACT:
-        from scipy.linalg import cho_factor, cho_solve
-
         _check_reachable(W, Y.mask == 1)  # so that every L_mm is SPD
         for obs, mis, cols in Y.pattern_groups:
             if len(mis) == 0:
                 continue
             L_mm = L[np.ix_(mis, mis)]
             L_mo = L[np.ix_(mis, obs)]
-            out[np.ix_(mis, cols)] = cho_solve(cho_factor(L_mm), -L_mo @ Y.values[np.ix_(obs, cols)])
+            out[np.ix_(mis, cols)] = _spd_solve(L_mm, -L_mo @ Y.values[np.ix_(obs, cols)])
         return out
     base = 2.0 * cfg.alpha * L + 2.0 * cfg.beta * np.eye(Y.p)
     y_full = Y.filled(0.0)
@@ -230,17 +236,8 @@ def recover_tikhonov(
         for obs, _mis, cols in Y.pattern_groups:
             H = base.copy()
             H[obs, obs] += 2.0
-            rhs = 2.0 * y_full[:, cols]
-            try:
-                out[:, cols] = np.linalg.solve(H, rhs)
-            except np.linalg.LinAlgError:
-                out[:, cols] = np.linalg.lstsq(H, rhs, rcond=None)[0]
+            out[:, cols] = _spd_solve(H, 2.0 * y_full[:, cols])
         return out
-    # Huber fidelity by IRLS per column, one LAPACK dposv (Cholesky factor and
-    # solve) per step. The reweighted system is SPD unless beta = 0 and a graph
-    # component carries no data weight; Cholesky then fails and least squares
-    # picks the minimum-norm solution.
-    dposv = _lapack().dposv
     diag = np.diag_indices(Y.p)
     for j in range(Y.n):
         m = Y.mask[:, j].astype(float)
@@ -251,10 +248,7 @@ def recover_tikhonov(
             omega = m * np.where(a <= cfg.delta, 1.0, cfg.delta / np.maximum(a, 1e-300))
             H = base.copy()
             H[diag] += omega
-            rhs = omega * y_full[:, j]
-            _f, x_new, info = dposv(H, rhs)
-            if info > 0:
-                x_new = np.linalg.lstsq(H, rhs, rcond=None)[0]
+            x_new = _spd_solve(H, omega * y_full[:, j])
             if np.abs(x_new - x).max() < cfg.tol * (1.0 + np.abs(x).max()):
                 x = x_new
                 break
@@ -362,11 +356,12 @@ def _gmrf_solve(S, alpha, w0=None, max_iter=2000, tol=1e-7):
     S = np.asarray(S, dtype=float)
     _check_finite("S", S)
     p = S.shape[0]
-    if S.shape != (p, p) or np.abs(S - S.T).max() > 1e-8 * max(np.abs(S).max(), 1e-300):
+    top = np.abs(S).max()
+    if S.shape != (p, p) or np.abs(S - S.T).max() > 1e-8 * max(top, 1e-300):
         raise ValueError("S must be a symmetric matrix")
-    if np.abs(S).max() == 0:
-        raise ValueError("all-zero second-moment matrix")
-    k = 2.0 ** -round(np.log2(np.abs(S).max()))  # solve for w / k on k S, k alpha (see gmrf_learn)
+    if not top >= np.finfo(float).tiny:
+        raise ValueError("all-zero or subnormal second-moment matrix S")
+    k = _unit_scale(top)  # solve for w / k on k S, k alpha (see gmrf_learn)
     S, alpha = k * S, k * alpha
     edges = _edges(p)
     s_vec = _edge_form(S.ravel(), edges.up, edges)

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .core import IncompleteMatrix, _check_count, _check_positive
-from .em import EmConfig, EmFit, GaussianParams, _fit_gaussian
+from .em import EmConfig, EmFit, GaussianParams, _eig_floor, _fit_gaussian
 
 
 class StructureKind(Enum):
@@ -41,12 +41,6 @@ class CovStructure:
         return project_fml(sigma, self.sigma_known)
 
 
-def _eigh_desc(sigma):
-    sigma = 0.5 * (np.asarray(sigma, dtype=float) + np.asarray(sigma, dtype=float).T)
-    w, V = np.linalg.eigh(sigma)
-    return w[::-1], V[:, ::-1]
-
-
 def project_factor_model(Sigma_hat: NDArray, r: int) -> NDArray:
     """Map onto sigma^2 I + (rank <= r PSD part).
 
@@ -54,7 +48,9 @@ def project_factor_model(Sigma_hat: NDArray, r: int) -> NDArray:
     eigenvalues keep their eigenvectors with loadings max(lambda_i - sigma^2,
     0), clipped so the low-rank part stays PSD even for degenerate spectra.
     """
-    w, V = _eigh_desc(Sigma_hat)
+    S = np.asarray(Sigma_hat, dtype=float)
+    w, V = np.linalg.eigh(0.5 * (S + S.T))
+    w, V = w[::-1], V[:, ::-1]
     p = len(w)
     if not 1 <= r < p:
         raise ValueError(f"factor rank r={r} must satisfy 1 <= r < p={p}")
@@ -66,10 +62,7 @@ def project_factor_model(Sigma_hat: NDArray, r: int) -> NDArray:
 
 def project_fml(Sigma_hat: NDArray, sigma_known: float) -> NDArray:
     """Floor every eigenvalue at sigma_known^2 (fast maximum likelihood rule)."""
-    w, V = _eigh_desc(Sigma_hat)
-    w = np.maximum(w, sigma_known**2)
-    out = (V * w) @ V.T
-    return 0.5 * (out + out.T)
+    return _eig_floor(np.asarray(Sigma_hat, dtype=float), sigma_known**2)
 
 
 def em_structured_fit(

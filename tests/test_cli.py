@@ -673,6 +673,8 @@ def _probe_files(tmp_path):
     write_matrix_csv(full, rng.standard_normal((3, 12)))
     zero = tmp_path / "zero.csv"
     write_matrix_csv(zero, np.zeros((3, 6)))
+    tiny = tmp_path / "tiny.csv"  # a second-moment matrix of about 1e-320
+    write_matrix_csv(tiny, 1e-160 * rng.standard_normal((4, 30)))
     edges = tmp_path / "g.csv"
     edges.write_text("0,1,1.0\n1,2,1.0\n", encoding="utf-8")
     series = tmp_path / "ts.csv"
@@ -687,8 +689,9 @@ def _probe_files(tmp_path):
     knn_k0_cfg.write_text("[dataset]\nkind = gaussian\n\n[method]\nmethod = knn\nk = 0\n", encoding="utf-8")
     sweeps_cfg = tmp_path / "sweeps.cfg"
     sweeps_cfg.write_text("[dataset]\nkind = gaussian\n\n[method]\nmethod = iterative\nmax_sweeps = -3\n", encoding="utf-8")
-    return {"gappy": str(gappy), "full": str(full), "zero": str(zero), "edges": str(edges), "series": str(series),
-            "empty_cfg": str(empty_cfg), "no_method_cfg": str(no_method_cfg), "unread_key_cfg": str(unread_key_cfg),
+    return {"gappy": str(gappy), "full": str(full), "zero": str(zero), "tiny": str(tiny), "edges": str(edges),
+            "series": str(series), "empty_cfg": str(empty_cfg), "no_method_cfg": str(no_method_cfg),
+            "unread_key_cfg": str(unread_key_cfg),
             "knn_k0_cfg": str(knn_k0_cfg), "sweeps_cfg": str(sweeps_cfg),
             "dir": str(tmp_path), "out": str(tmp_path / "o.csv"), "nodir": str(tmp_path / "no" / "o.csv")}
 
@@ -704,6 +707,7 @@ _PROBES = [
     ("mask_driver_row", ["mask", "--mechanism", "mar", "--driver-row", "9", "--data", "{full}", "--out", "{out}"],
      "driver_row 9"),
     ("learn_all_zero", ["graph", "learn", "--in", "{zero}", "--out", "{out}"], "all-zero"),
+    ("learn_subnormal", ["graph", "learn", "--in", "{tiny}", "--out", "{out}"], "subnormal second-moment matrix S"),
     ("out_in_missing_dir", ["impute", "--in", "{gappy}", "--out", "{nodir}"], "No such file"),
     ("ts_fit_dir", ["ts-fit", "--in", "{dir}"], "directory"),
     ("draws0", ["impute", "--in", "{gappy}", "--draws", "0", "--out", "{out}"], "K must be an integer >= 1, got 0"),
@@ -1023,7 +1027,7 @@ def test_fuzz_exit_codes(fuzz_files, tmp_path, command, data):
     _fuzz_call(fuzz_files, command, chosen, tmp_path / f"out{len(os.listdir(tmp_path))}", missing)
 
 
-@pytest.mark.parametrize("command", ["track"])
+@pytest.mark.parametrize("command", sorted(_FUZZ))
 def test_fuzz_singles_and_pairs_exit_codes(fuzz_files, tmp_path, command):
     # Every non-default value alone and every pair of values of two options,
     # so a failing combination of at most two fails on every run, not by chance.

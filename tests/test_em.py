@@ -20,6 +20,7 @@ from gapkit.em import (
     observed_loglik_student,
 )
 from gapkit.mechanisms import MechanismKind, MechanismSpec, gen_mask
+from gapkit.structcov import CovStructure, StructureKind, em_structured_fit
 
 BIVAR = GaussianParams([0.0, 0.0], [[1.0, 0.5], [0.5, 1.0]])
 
@@ -457,3 +458,30 @@ def test_student_loglik_matches_scipy():
 def test_em_config_rejects_bad_stopping_rule(cfg):
     with pytest.raises(ValueError, match="max_iter|tol|saem_burn_in"):
         EmConfig(**cfg)
+
+
+# -- units -------------------------------------------------------------------
+
+_UNIT_FITS = {
+    "exact": lambda X: em_gaussian_fit(X),
+    "saem": lambda X: em_gaussian_fit(X, cfg=EmConfig(e_variant=EVariant.SAEM, max_iter=60)),
+    "student_nu": lambda X: em_student_fit(X, estimate_nu=True),
+    "factor2": lambda X: em_structured_fit(X, CovStructure(StructureKind.FACTOR_MODEL, r=2)),
+}
+
+
+@pytest.mark.parametrize("fit", sorted(_UNIT_FITS))
+def test_em_fits_do_not_depend_on_the_units(fit):
+    # the covariance floor is relative to the trace in any units, so c X with
+    # c a power of two gives mu c and sigma c^2 in as many iterations
+    rng = np.random.default_rng(50)
+    vals = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 200)) + 0.3 * rng.standard_normal((6, 200))
+    X = _mcar(vals, 0.25, 51)
+    unit = _UNIT_FITS[fit](X)
+    for e in [-500, -300, -40, -30, 30, 300, 500]:
+        c = 2.0**e
+        scaled = _UNIT_FITS[fit](IncompleteMatrix(c * vals, X.mask))
+        assert scaled.n_iter == unit.n_iter, e
+        assert_allclose(scaled.params.mu / c, unit.params.mu, rtol=0, atol=1e-12 * np.abs(unit.params.mu).max())
+        assert_allclose(scaled.params.sigma / c / c, unit.params.sigma, rtol=0,
+                        atol=1e-12 * np.abs(unit.params.sigma).max())

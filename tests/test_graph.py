@@ -356,6 +356,9 @@ def test_gmrf_feasible_set_invariants():
 def test_gmrf_rejects_zero_moment():
     with pytest.raises(ValueError):
         gmrf_learn(np.zeros((3, 3)), 0.1)
+    # a subnormal max|S| too, with a message rather than an OverflowError
+    with pytest.raises(ValueError, match="all-zero or subnormal second-moment matrix S"):
+        gmrf_learn(np.eye(3) * 1e-320, 1e-320)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -444,10 +447,11 @@ def test_gmrf_solve_from_its_own_answer_takes_no_step(p, alpha, seed):
     assert w.tobytes() == w_opt.tobytes()
 
 
-@pytest.mark.parametrize("c", [1e-6, 2.0**-20, 1.0, 3.7, 1e6])
+@pytest.mark.parametrize("c", [2.0**-1022, 2.0**-1010, 1e-6, 2.0**-20, 1.0, 3.7, 1e6])
 def test_gmrf_learn_scales_with_the_units_of_s(c):
     # S -> c S with alpha -> c alpha is the same problem in other units, with
-    # weights w / c; the two-node closed form is w = 1 / (2c) at S = c I
+    # weights w / c; the two-node closed form is w = 1 / (2c) at S = c I. Every
+    # normal max|S| gets its exact unit scale, down to the smallest normal float.
     assert_allclose(gmrf_learn(c * np.eye(2), 0.0).W[0, 1], 0.5 / c, rtol=1e-9)
     S, _rng = _random_moment(6, 0)
     W1 = gmrf_learn(S, 0.1).W
@@ -967,3 +971,52 @@ def test_gmrf_gradient_matches_central_differences(p, alpha, seed):
         fd[k] = (up - down) / (2.0 * h)
     assert np.isfinite(obj)
     assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
+
+
+def _squared_cho(Y, W, cfg):
+    """Reference squared-fidelity recovery: cho_factor / cho_solve once per
+    pattern group, and lstsq where cho_factor finds the system singular."""
+    base = 2.0 * cfg.alpha * (np.diag(W.sum(axis=1)) - W) + 2.0 * cfg.beta * np.eye(Y.p)
+    y_full = Y.filled(0.0)
+    out = Y.values.copy()
+    for obs, _mis, cols in Y.pattern_groups:
+        H = base.copy()
+        H[obs, obs] += 2.0
+        rhs = 2.0 * y_full[:, cols]
+        try:
+            out[:, cols] = cho_solve(cho_factor(H, check_finite=False), rhs, check_finite=False)
+        except np.linalg.LinAlgError:
+            out[:, cols] = np.linalg.lstsq(H, rhs, rcond=None)[0]
+    return out
+
+
+@pytest.mark.parametrize("side", [3, 10])
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        RecoveryConfig(fidelity=FidelityKind.SQUARED, alpha=0.5),
+        RecoveryConfig(fidelity=FidelityKind.SQUARED, alpha=0.2, beta=0.1),
+        RecoveryConfig(fidelity=FidelityKind.SQUARED, alpha=0.0, beta=0.0),
+    ],
+    ids=["alpha", "alpha_beta", "unregularized"],
+)
+def test_squared_recovery_matches_cholesky_formula_bit_for_bit(cfg, side):
+    # dposv is potrf + potrs, as cho_factor + cho_solve; with beta = 0 a group
+    # that misses the isolated node 4 is singular and takes the lstsq fallback
+    W, Y = _gappy_field(12, seed=22, side=side)
+    W[4] = W[:, 4] = 0.0
+    assert any(4 in mis for _obs, mis, _cols in Y.pattern_groups)
+    assert np.array_equal(recover_tikhonov(Y, W, cfg), _squared_cho(Y, W, cfg))
+
+
+@pytest.mark.parametrize("side", [3, 10])
+def test_exact_recovery_matches_cholesky_formula_bit_for_bit(side):
+    # the harmonic solve L_mm x_m = -L_mo x_o per pattern group, as cho_solve(cho_factor(L_mm), .)
+    W, Y = _gappy_field(12, seed=23, side=side)
+    L = np.diag(W.sum(axis=1)) - W
+    ref = Y.values.copy()
+    for obs, mis, cols in Y.pattern_groups:
+        if len(mis):
+            rhs = -L[np.ix_(mis, obs)] @ Y.values[np.ix_(obs, cols)]
+            ref[np.ix_(mis, cols)] = cho_solve(cho_factor(L[np.ix_(mis, mis)]), rhs)
+    assert np.array_equal(recover_tikhonov(Y, W, RecoveryConfig(fidelity=FidelityKind.EXACT)), ref)
