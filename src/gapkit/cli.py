@@ -21,6 +21,7 @@ from .completion import hard_impute, soft_impute
 from .core import (
     IncompleteMatrix,
     SeedSpec,
+    _orthonormalize,
     format_float,
     read_matrix_csv,
     sep,
@@ -319,8 +320,7 @@ def track_cmd(ctx, stream, mode, rank, forget, rho, alpha, truth, seed, out):
             raise ValueError(f"--truth {truth} has missing entries")
         if T.shape != (Y.p, rank):
             raise ValueError(f"--truth must be {Y.p} x {rank} (p x rank), got {T.p} x {T.n}")
-        if np.linalg.matrix_rank(T.values) < rank:
-            raise ValueError(f"--truth {truth} is a rank-deficient basis")
+        _orthonormalize(T.values, f"basis in --truth {truth}")  # sep's own rank test, once at load
         U_true = T.values
     # One row per step, built once: a step must not copy the whole stream.
     steps = zip(np.ascontiguousarray(Y.filled(0.0).T), np.ascontiguousarray(Y.mask.T))

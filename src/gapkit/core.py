@@ -219,10 +219,10 @@ def sep(U_hat: NDArray, U_true: NDArray) -> float:
     return float(min(max(val, 0.0), 1.0))
 
 
-def _orthonormalize(U: NDArray) -> NDArray:
+def _orthonormalize(U: NDArray, name: str = "basis") -> NDArray:
     q, rmat = np.linalg.qr(U)
     if np.min(np.abs(np.diag(rmat))) < 1e-12 * max(1.0, np.abs(rmat).max()):
-        raise ValueError("rank-deficient basis")
+        raise ValueError(f"rank-deficient {name}")
     return q
 
 
@@ -246,10 +246,16 @@ def read_matrix_csv(path, mask_path=None) -> IncompleteMatrix:
     if any("," in line for line in lines):
         while lines[-1].strip() == "":
             lines.pop()
-    rows = [
-        [float(tok) if tok.strip() else None for tok in line.split(",")]
-        for line in lines
-    ]
+    try:
+        rows = [[float(tok) if tok.strip() else None for tok in line.split(",")] for line in lines]
+    except ValueError:  # locate the field only on this path, so the parse above stays one pass
+        for i, line in enumerate(lines):
+            for j, tok in enumerate(line.split(",")):
+                try:
+                    float(tok) if tok.strip() else None
+                except ValueError:
+                    raise ValueError(f"{path}: {tok!r} at row {i}, column {j} (0-based) is not a number")
+        raise
     if not rows:
         raise ValueError(f"no data rows in {path}")
     width = {len(r) for r in rows}

@@ -204,11 +204,6 @@ def _make_dataset(spec: dict, seed: SeedSpec):
     return read_matrix_csv(s["path"]).values
 
 
-def _make_mechanism(spec: dict) -> MechanismSpec | None:
-    kind, s = _settings("mechanism", spec, _MECHANISM)
-    return None if kind == "none" else MechanismSpec(MechanismKind(kind), **s)
-
-
 def _locf_fill(X: IncompleteMatrix):
     """Row-wise last observation carried forward (leading gaps filled backward)."""
     out = X.values.copy()
@@ -289,11 +284,11 @@ class ExperimentResult:
 def _one_replicate(config: ExperimentConfig, rep: int):
     base = SeedSpec(config.seed, rep * 16)
     Xtrue = _make_dataset(config.dataset, base)
-    mech = _make_mechanism(config.mechanism)
-    if mech is None:
+    kind, s = _settings("mechanism", config.mechanism, _MECHANISM)
+    if kind == "none":
         mask = np.ones(Xtrue.shape, dtype=np.int8)
     else:
-        mask = gen_mask(Xtrue.shape, mech, X=Xtrue, seed=base.substream(1))
+        mask = gen_mask(Xtrue.shape, MechanismSpec(MechanismKind(kind), **s), X=Xtrue, seed=base.substream(1))
     X = IncompleteMatrix(Xtrue, mask)
     Xhat = _run_method(config.method, X, base.substream(2))
     rows = []

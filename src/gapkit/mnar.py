@@ -198,7 +198,7 @@ def sem_selection_fit(
         obs_counts = X.mask.sum(axis=1)
         mu0 = X.row_means()
         dev = np.where(X.mask == 1, X.filled(0.0) - mu0[:, None], 0.0)
-        sig0 = np.sqrt(np.maximum((dev**2).sum(axis=1) / obs_counts, 1e-12))
+        sig0 = np.sqrt(np.maximum((dev**2).sum(axis=1) / obs_counts, np.finfo(float).tiny))
         init_theta = SelectionParams(mu0, sig0)
     if len(init_theta.mu) != p:
         raise ValueError(f"init_theta has {len(init_theta.mu)} rows, X has {p}")
@@ -219,7 +219,7 @@ def sem_selection_fit(
     for it in range(iters):
         xc[holes] = _sample_tilted_batch(mu, sigma, phi, need, rng, sampler)
         mu = Xc.mean(axis=1)
-        sigma = np.sqrt(np.maximum(Xc.var(axis=1), 1e-12))
+        sigma = np.sqrt(np.maximum(Xc.var(axis=1), np.finfo(float).tiny))
         if estimate_phi:
             beta = None if one_class else _logistic_newton(xc, mask_flat, *phi)
             if beta is None:

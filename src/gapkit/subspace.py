@@ -17,7 +17,6 @@ from .core import SeedSpec, _check_count, _check_nonnegative, _check_positive
 
 PRECISION_INIT = 1e3
 CONDITION_CAP = 1e12
-_Q2 = ((CONDITION_CAP - 2) / (CONDITION_CAP + 2)) ** 2  # q^2, q = (CAP/2 - 1) / (CAP/2 + 1)
 OUTLIER_SUPPORT_TOL = 1e-10
 
 
@@ -97,19 +96,14 @@ def _rls_row_updates(state, obs, y_t, w, weight=1.0):
 
     Precision recursion R_i <- lam * R_i + weight * w w^T applied in inverse
     form; the k products R_i^-1 w are one (k r, r) @ (r,) GEMV, bit-equal to
-    the stacked (k, r, r) @ (r,) matmul at half its cost. Rows where eigvalsh
-    gives lam_max > CONDITION_CAP * max(lam_min, 1e-300) or lam_min <= 0 are
-    reset to the warm start and counted. A row with trace T in (1e-100,
-    1e100) (no overflow, no subnormals) and sqrt(F) <= c T, F its sum of
-    squares, skips eigvalsh: by the trace bounds of Wolkowicz & Styan (LAA
-    1980) its condition number is <= CAP / 2.
+    the stacked (k, r, r) @ (r,) matmul at half its cost. The rows that
+    _rows_to_reset flags are reset to the warm start and counted.
     """
     lam, k, r = state.lambda_forget, len(obs), state.r
     Rinv = state.row_prec.take(obs, axis=0)
     v = (Rinv.reshape(k * r, r) @ w).reshape(k, r)
     denom = lam + weight * (v @ w)  # (k,)
-    # The outer product is formed before the weight multiplies it, so Rinv_new
-    # stays exactly symmetric for any weight (eigvalsh reads one triangle, the trace test both).
+    # The outer product is formed before the weight multiplies it: Rinv_new stays exactly symmetric.
     Rinv_new = (Rinv - v[:, :, None] * v[:, None, :] * weight / denom[:, None, None]) / lam
     U_o = state.U.take(obs, axis=0)
     resid = y_t[obs] - U_o @ w
@@ -124,15 +118,22 @@ def _rls_row_updates(state, obs, y_t, w, weight=1.0):
 
 
 def _rows_to_reset(R):
-    """Mask of the rows of a symmetric (k, r, r) stack that the RLS step resets."""
-    r, T, F = R.shape[-1], np.einsum("kii->k", R), np.einsum("kij,kij->k", R, R)
-    # lam in m -+ d sqrt(r - 1), m = T / r, d^2 = F / r - m^2; CAP / 2 leaves rounding a factor 2
-    c = ((_Q2 + r - 1) / ((r - 1) * r)) ** 0.5 if r > 1 else 2.0  # r = 1: sqrt(F) = T
-    reset = ~((T > 1e-100) & (T < 1e100) & (np.sqrt(F) <= c * T))  # NaN is not clear
-    if np.count_nonzero(reset):
-        eig = np.linalg.eigvalsh(R[reset])
-        reset[reset] = (eig[:, -1] > CONDITION_CAP * np.maximum(eig[:, 0], 1e-300)) | (eig[:, 0] <= 0)
-    return reset
+    """Mask of the rows of a symmetric (k, r, r) stack that the RLS step resets.
+
+    A row is kept only if every Cholesky pivot of R - (tr R / CONDITION_CAP) I
+    is positive, that is if lam_min(R) > tr R / CAP; a NaN or inf entry leaves
+    a NaN or -inf pivot. The pivots are Schur complements, unrolled over r.
+    """
+    S = R.transpose(1, 2, 0)  # (r, r, k): each entry is a vector over the rows
+    tau = S.diagonal().sum(-1) / CONDITION_CAP
+    with np.errstate(all="ignore"):  # a failed pivot may divide by zero or meet inf - inf
+        d = S[0, 0] - tau
+        keep = d > 0
+        for _ in range(1, len(S)):
+            S = S[1:, 1:] - S[1:, :1] / d * S[:1, 1:]
+            d = S[0, 0] - tau
+            keep &= d > 0
+    return ~keep
 
 
 def petrels_update(state: TrackerState, y_t: NDArray, m_t: NDArray) -> TrackerState:

@@ -30,7 +30,6 @@ class Ar1StudentParams:
     a: float
     sigma: float
     nu: float
-    enforce_stationarity: bool = False
 
     def __post_init__(self):
         _check_finite("mu and a", [self.mu, self.a])
@@ -38,8 +37,6 @@ class Ar1StudentParams:
             raise ValueError(f"a = {self.a!r} is explosive: a**2 overflows")
         _check_positive("sigma", self.sigma)
         _check_positive("nu", self.nu)
-        if self.enforce_stationarity and not abs(self.a) < 1:
-            raise ValueError("|a| < 1 required when stationarity is enforced")
 
 
 @dataclass

@@ -687,12 +687,15 @@ def _probe_files(tmp_path):
     unread_key_cfg.write_text("[dataset]\nkind = gaussian\nsede = 3\n\n[method]\nmodule = impute\n", encoding="utf-8")
     knn_k0_cfg = tmp_path / "knn_k0.cfg"
     knn_k0_cfg.write_text("[dataset]\nkind = gaussian\n\n[method]\nmethod = knn\nk = 0\n", encoding="utf-8")
+    near_flat = tmp_path / "near_flat.csv"  # columns 1e-13 apart: numpy's matrix_rank reads 2
+    column = rng.standard_normal(3)
+    write_matrix_csv(near_flat, np.column_stack([column, column + 1e-13]))
     sweeps_cfg = tmp_path / "sweeps.cfg"
     sweeps_cfg.write_text("[dataset]\nkind = gaussian\n\n[method]\nmethod = iterative\nmax_sweeps = -3\n", encoding="utf-8")
     return {"gappy": str(gappy), "full": str(full), "zero": str(zero), "tiny": str(tiny), "edges": str(edges),
             "series": str(series), "empty_cfg": str(empty_cfg), "no_method_cfg": str(no_method_cfg),
             "unread_key_cfg": str(unread_key_cfg),
-            "knn_k0_cfg": str(knn_k0_cfg), "sweeps_cfg": str(sweeps_cfg),
+            "knn_k0_cfg": str(knn_k0_cfg), "sweeps_cfg": str(sweeps_cfg), "near_flat": str(near_flat),
             "dir": str(tmp_path), "out": str(tmp_path / "o.csv"), "nodir": str(tmp_path / "no" / "o.csv")}
 
 
@@ -790,6 +793,8 @@ _PROBES = [
      "[method] k must be an integer >= 1, got 0"),
     ("bench_max_sweeps_neg", ["bench", "--config", "{sweeps_cfg}", "--out-dir", "{dir}"],
      "[method] max_sweeps must be an integer >= 1"),
+    ("track_truth_near_flat", ["track", "--stream", "{full}", "--rank", "2", "--truth", "{near_flat}",
+                               "--out", "{out}"], "rank-deficient basis in --truth"),
     ("ts_impute_explosive_a", ["ts-impute", "--in", "{series}", "--mu", "0", "--a", "1e300", "--sigma", "1",
                                "--nu", "5", "--out", "{out}"], "a = 1e+300"),
 ]

@@ -287,6 +287,13 @@ def test_read_matrix_csv_rejects_infinite_value(tmp_path, token):
         read_matrix_csv(path, tmp_path / "m.csv")
 
 
+def test_read_matrix_csv_names_an_unparsable_field(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("1.0, ,2.0\n3.0,4.0,abc\n", encoding="utf-8")  # a blank field is a hole, not an error
+    with pytest.raises(ValueError, match=r"x.csv: 'abc' at row 1, column 2 \(0-based\) is not a number$"):
+        read_matrix_csv(path)
+
+
 _Y = IncompleteMatrix([[1.0, 2.0, 3.0], [4.0, 0.0, 6.0], [7.0, 8.0, 0.0]], [[1, 1, 1], [1, 0, 1], [1, 1, 0]])
 _PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 _AR1 = Ar1StudentParams(0.0, 0.5, 1.0, 5.0)

@@ -3,6 +3,9 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 from scipy.stats import ks_2samp
 
 from gapkit.core import IncompleteMatrix, SeedSpec
@@ -115,6 +118,25 @@ def test_sem_mcar_reduction_paired():
     diffs = np.array(diffs)
     se = diffs.std(ddof=1) / np.sqrt(len(diffs))
     assert abs(diffs.mean()) < 2 * se + 1e-3
+
+
+@settings(max_examples=30, deadline=None)
+@given(e=st.integers(-300, 300))
+def test_sem_fit_with_phi_held_does_not_depend_on_the_units(e):
+    # the variance floors are the smallest normal float, so c X with c = 2^e
+    # gives mu c and sigma c from the same draws and sampler rounds
+    rng = np.random.default_rng(60)
+    vals = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 200)) + 0.3 * rng.standard_normal((6, 200))
+    mask = (rng.random((6, 200)) > 0.25).astype(int)
+    c = 2.0**e
+    unit, scaled = (
+        sem_selection_fit(IncompleteMatrix(k * vals, mask), init_phi=(0.0, 0.0), iters=40, burn_in=10,
+                          seed=SeedSpec(61), estimate_phi=False)
+        for k in (1.0, c)
+    )
+    assert scaled.rejection_rounds == unit.rejection_rounds
+    for got, want in ((scaled.theta.mu / c, unit.theta.mu), (scaled.theta.sigma / c, unit.theta.sigma)):
+        assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_sem_bias_correction_small():

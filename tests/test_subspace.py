@@ -387,8 +387,7 @@ def _ref_rls_row_updates(state, obs, y_t, w, weight=1.0):
     Rinv_new = (Rinv - v[:, :, None] * v[:, None, :] * weight / denom[:, None, None]) / lam
     resid = y_t[obs] - state.U[obs] @ w
     state.U[obs] += weight * resid[:, None] * (Rinv_new @ w)
-    eig = np.linalg.eigvalsh(Rinv_new)
-    bad = (eig[:, -1] > CONDITION_CAP * np.maximum(eig[:, 0], 1e-300)) | (eig[:, 0] <= 0)
+    bad = _eigvalsh_reset_rule(Rinv_new)
     if bad.any():
         Rinv_new[bad] = PRECISION_INIT * np.eye(state.r)
         state.reinit_count += int(bad.sum())
@@ -396,51 +395,59 @@ def _ref_rls_row_updates(state, obs, y_t, w, weight=1.0):
     state.t += 1
 
 
-# What a drawn precision row is beside its scale and condition number.
-_ROW_KINDS = ["definite", "definite", "definite", "singular", "indefinite", "nan", "inf"]
+def _eigvalsh_reset_rule(R):
+    """The reset rule in eigenvalue form: a non-finite entry, or lam_min <= tr / CAP."""
+    finite = np.isfinite(R).all(axis=(1, 2))
+    bad = ~finite
+    bad[finite] = np.linalg.eigvalsh(R[finite])[:, 0] <= np.trace(R[finite], axis1=1, axis2=2) / CONDITION_CAP
+    return bad
+
+
+# What a drawn precision row is beside its scale and tr / lam_min.
+_ROW_KINDS = ["definite", "definite", "definite", "singular", "indefinite", "zero", "nan", "inf", "-inf"]
 
 
 @settings(max_examples=400, deadline=None)
 @given(r=st.integers(1, 4), kinds=st.lists(st.sampled_from(_ROW_KINDS), min_size=1, max_size=6),
        seed=st.integers(0, 2**32 - 1))
 def test_rows_to_reset_matches_eigvalsh_rule(r, kinds, seed):
-    # Largest eigenvalue log-uniform in [1e-200, 1e200]; condition number
-    # log-uniform in [1, 1e16], or in [10**11.6, 10**12.4] around
-    # CONDITION_CAP = 1e12 and the certificate's CAP / 2 for half the rows.
+    # Largest eigenvalue log-uniform in [1e-200, 1e200]; tr / lam_min
+    # log-uniform in [r, 1e16], or within a factor 4 of CONDITION_CAP = 1e12
+    # for half the rows, and never within a factor 2 of the cap.
     rng = np.random.default_rng(seed)
+    cap, two = np.log10(CONDITION_CAP), np.log10(2.0)
     stack = []
     for kind in kinds:
-        log_cond = rng.uniform(11.6, 12.4) if rng.random() < 0.5 else rng.uniform(0.0, 16.0)
-        eig = 10.0 ** (rng.uniform(-200.0, 200.0) - log_cond * np.linspace(0.0, 1.0, r))
+        if rng.random() < 0.5:  # a factor 2 to 4 from the cap, on either side
+            log_ratio = cap + rng.choice([-1.0, 1.0]) * rng.uniform(two, 2 * two)
+        else:  # log-uniform in [r, 1e16], skipping a factor 2 either side of the cap
+            log_ratio = rng.uniform(np.log10(r), 16.0 - 2 * two)
+            log_ratio += 2 * two * (log_ratio > cap - two)
+        # lam_min = 1 and the other r - 1 eigenvalues share tr - lam_min at random
+        share = rng.random(r - 1)
+        eig = np.concatenate([[1.0], 1.0 + (10.0**log_ratio - r) * share / max(share.sum(), 1e-300)])
+        eig *= 10.0 ** rng.uniform(-200.0, 200.0) / eig.max()
         if kind == "singular":
-            eig[-1] = 0.0
+            eig[0] = 0.0
         elif kind == "indefinite":
-            eig[-1] = -eig[-1]
+            eig[0] = -eig[0]
+        elif kind == "zero":
+            eig[:] = 0.0
         Q = np.linalg.qr(rng.standard_normal((r, r)))[0]
         R = (Q * eig) @ Q.T
         R = np.tril(R) + np.tril(R, -1).T  # exactly symmetric
-        if kind in ("nan", "inf"):
+        if kind in ("nan", "inf", "-inf"):
             i, j = rng.integers(r, size=2)
-            R[i, j] = R[j, i] = np.nan if kind == "nan" else np.inf
+            R[i, j] = R[j, i] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[kind]
         stack.append(R)
     R = np.array(stack)
-    try:
-        eig = np.linalg.eigvalsh(R)
-    except np.linalg.LinAlgError:  # some NaN rows: the tracker step raises alike
-        with pytest.raises(np.linalg.LinAlgError):
-            _rows_to_reset(R)
-        return
-    expected = (eig[:, -1] > CONDITION_CAP * np.maximum(eig[:, 0], 1e-300)) | (eig[:, 0] <= 0)
-    assert _rows_to_reset(R).tolist() == expected.tolist()
+    assert _rows_to_reset(R).tolist() == _eigvalsh_reset_rule(R).tolist()
 
 
-def test_rows_to_reset_runs_eigvalsh_only_on_uncleared_rows(monkeypatch):
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: calls.append(len(A)) or eigvalsh(A))
-    R = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1e3, 0.0], [0.0, 1e-8]], [[1.0, 0.0], [0.0, 1e-13]]])
-    assert _rows_to_reset(R[:2]).tolist() == [False, False] and calls == []
-    assert _rows_to_reset(R).tolist() == [False, False, True] and calls == [1]
+def test_rows_to_reset_examples():
+    R = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1e3, 0.0], [0.0, 1e-8]], [[1.0, 0.0], [0.0, 1e-13]],
+                  [[np.inf, 0.0], [0.0, 1.0]], [[1.0, -np.inf], [-np.inf, 1.0]], np.zeros((2, 2))])
+    assert _rows_to_reset(R).tolist() == [False, False, True, True, True, True]
 
 
 def _ref_robust_update(state, y_t, m_t, cfg):
