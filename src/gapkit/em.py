@@ -185,25 +185,21 @@ def _gaussian_loglik(cond: _Conditioned) -> float:
     return float(np.sum(-0.5 * (cond.k * LOG_2PI + cond.logdet + cond.delta)))
 
 
-def _student_log_norm(nu, k):
-    """Log normaliser of the k-dimensional Student-t density with a unit scale
-    matrix: log Gamma((nu + k)/2) - log Gamma(nu/2) - (k/2) log(nu pi)."""
-    from scipy.special import gammaln
-
-    return gammaln((nu + k) / 2.0) - gammaln(nu / 2.0) - (k / 2.0) * np.log(nu * math.pi)
-
-
 def _student_loglik(k, delta, logdet, nu):
     """Student-t log likelihood of points with k (integer) observed
     coordinates, squared radii delta and scale-block log determinants logdet
     (per point, or summed), at a scalar nu or at each entry of a vector of
-    them; one (grid, points) buffer holds q = log1p(delta / nu)."""
+    them; one (grid, points) buffer holds q = log1p(delta / nu). The log
+    normaliser takes log Gamma from math.lgamma, so that no scipy module loads."""
     nu = np.asarray(nu, dtype=float)[..., None]
     count = np.bincount(k)  # points per observed count
+    j = np.arange(len(count))
+    lgamma = np.frompyfunc(math.lgamma, 1, 1)
+    log_norm = (lgamma((nu + j) / 2.0) - lgamma(nu / 2.0)).astype(float) - (j / 2.0) * np.log(nu * math.pi)
     q = np.divide(delta, nu)
     np.log1p(q, out=q)
     radial = 0.5 * (nu[..., 0] * q.sum(axis=-1) + q @ k)
-    return _student_log_norm(nu, np.arange(len(count))) @ count - 0.5 * np.sum(logdet) - radial
+    return log_norm @ count - 0.5 * np.sum(logdet) - radial
 
 
 def _texture_weights(nu, k, delta, rng=None):

@@ -454,6 +454,33 @@ def test_student_loglik_matches_scipy():
     assert_allclose(ll, ref, atol=1e-9)
 
 
+def test_student_t_fits_load_no_scipy():
+    # the Student-t normaliser takes log Gamma from math.lgamma
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from gapkit.core import IncompleteMatrix\n"
+        "from gapkit.em import em_student_fit, observed_loglik_student\n"
+        "from gapkit.timeseries import ar1t_fit_saem\n"
+        "rng = np.random.default_rng(0)\n"
+        "X = IncompleteMatrix(rng.standard_t(5.0, (3, 200)), (rng.random((3, 200)) > 0.3).astype(int))\n"
+        "fit = em_student_fit(X, estimate_nu=True)\n"
+        "observed_loglik_student(fit.params, X)\n"
+        "y = np.cumsum(rng.standard_t(4.0, 300)) * 0.1\n"
+        "y[50:60] = np.nan\n"
+        "ar1t_fit_saem(y)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("cfg", [{"max_iter": 0}, {"tol": np.nan}, {"saem_burn_in": -1}])
 def test_em_config_rejects_bad_stopping_rule(cfg):
     with pytest.raises(ValueError, match="max_iter|tol|saem_burn_in"):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_factor, cho_solve
 
-from gapkit.core import IncompleteMatrix, SeedSpec
+from gapkit.core import IncompleteMatrix, SeedSpec, _unit_scale
 from gapkit.graph import (
     DirectedGraph,
     FidelityKind,
@@ -704,6 +704,58 @@ def test_stsrgl_reports_learner_counts(monkeypatch):
     assert np.all(res.gmrf_steps >= 1) and np.all(res.gmrf_factorizations > res.gmrf_steps)
     assert calls["objective"] == res.gmrf_factorizations.sum() + len(res.objective_trace)
     assert calls["gradient"] == res.gmrf_steps.sum() + iters + 1
+
+
+def _unit_residual(S, alpha, w):
+    """_gmrf_solve's projected-gradient residual max|min(w, g)| at data-unit
+    weights w (None: its complete-graph start), in its unit-scaled units."""
+    k = _unit_scale(np.abs(S).max())
+    p = len(S)
+    edges = _edges(p)
+    s_vec = _edge_form((k * S).ravel(), edges.up, edges)
+    w = np.full(len(s_vec), 1.0 / p) if w is None else np.maximum(w, 0.0) / k
+    _obj, f = _gmrf_objective(w, s_vec, k * alpha, edges, p)
+    assert f is not None  # a feasible start: the solver does not restart
+    return np.abs(np.minimum(w, _gmrf_gradient(f, s_vec, k * alpha, edges))).max()
+
+
+def test_stsrgl_learner_calls_stop_at_the_forcing_tolerance(monkeypatch):
+    # every learner call but the last stops at max(1e-7, 1e-3 r0), r0 the
+    # residual at its start point; the last runs to 1e-7
+    calls = []
+    solve = graph._gmrf_solve
+
+    def recording(S, alpha, w0=None, max_iter=2000, tol=1e-7, forcing=0.0):
+        out = solve(S, alpha, w0, max_iter, tol, forcing)
+        calls.append((S, alpha, w0, max_iter, forcing, out))
+        return out
+
+    monkeypatch.setattr(graph, "_gmrf_solve", recording)
+    iters = 4
+    _W, Y = _gappy_field(40)
+    stsrgl_fit(Y, iters=iters)
+    assert [call[4] for call in calls] == [1e-3] * iters + [0.0]
+    stops = []
+    for S, alpha, w0, max_iter, forcing, (w, factorizations, steps) in calls:
+        tol = max(1e-7, forcing * _unit_residual(S, alpha, w0))
+        stops.append(_unit_residual(S, alpha, w))
+        assert steps >= 1 and stops[-1] <= tol
+        # the same solve with that tolerance and no forcing retraces the call
+        w_tol, *counts = solve(S, alpha, w0, max_iter, tol)
+        assert w_tol.tobytes() == w.tobytes() and counts == [factorizations, steps]
+    assert max(stops[:-1]) > 1e-7  # the forcing tolerance cut some call short
+
+
+def test_stsrgl_returns_a_stationary_laplacian():
+    # the last learner call runs to tol on the returned X and A, so a warm
+    # start at the returned L passes the stopping test at once
+    alpha_l = 0.05
+    _W, Y = _gappy_field(40)
+    res = stsrgl_fit(Y, alpha_l=alpha_l, iters=4)
+    E = graph._innovations(res.X, res.A.A)
+    iu, ju = np.triu_indices(Y.p, k=1)
+    _w, factorizations, steps = graph._gmrf_solve(E @ E.T / Y.n, alpha_l, w0=res.L.W[iu, ju])
+    assert (factorizations, steps) == (1, 0)
 
 
 def test_stsrgl_huge_l1_weight_empties_the_adjacency_without_overflow():
