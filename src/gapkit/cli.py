@@ -22,9 +22,9 @@ from .core import (
     IncompleteMatrix,
     SeedSpec,
     _orthonormalize,
+    _sep_orthonormal,
     format_float,
     read_matrix_csv,
-    sep,
     write_mask_csv,
     write_matrix_csv,
 )
@@ -313,18 +313,17 @@ def track_cmd(ctx, stream, mode, rank, forget, rho, alpha, truth, seed, out):
     Y = read_matrix_csv(stream)
     state = petrels_init(Y.p, rank, SeedSpec(seed), lambda_forget=forget)
     cfg = RobustConfig(rho=rho, alpha_reg=alpha)
-    U_true = None
+    Q_true = None
     if truth:
         T = read_matrix_csv(truth)
         if T.n_missing() > 0:
             raise ValueError(f"--truth {truth} has missing entries")
         if T.shape != (Y.p, rank):
             raise ValueError(f"--truth must be {Y.p} x {rank} (p x rank), got {T.p} x {T.n}")
-        _orthonormalize(T.values, f"basis in --truth {truth}")  # sep's own rank test, once at load
-        U_true = T.values
+        Q_true = _orthonormalize(T.values, f"basis in --truth {truth}")  # once, not per step
     # One row per step, built once: a step must not copy the whole stream.
     steps = zip(np.ascontiguousarray(Y.filled(0.0).T), np.ascontiguousarray(Y.mask.T))
-    lines = ["t,residual" + (",sep" if U_true is not None else "")]
+    lines = ["t,residual" + (",sep" if Q_true is not None else "")]
     with np.errstate(over="raise"):  # an overflow in the tracker is a numerical failure
         for t, (y_t, m_t) in enumerate(steps):
             if mode == "petrels":
@@ -335,10 +334,10 @@ def track_cmd(ctx, stream, mode, rank, forget, rho, alpha, truth, seed, out):
             w, _ = petrels_weights(state.U, y_t, m_t)
             resid = np.linalg.norm(m_t * (y_t - state.U @ w))
             row = f"{t},{format_float(resid)}"
-            if U_true is not None:
-                try:
-                    row += f",{format_float(sep(state.U, U_true))}"
-                except ValueError as exc:  # the truth was checked above, so the tracked basis lost rank
+            if Q_true is not None:
+                try:  # sep(state.U, truth); the tracked basis starts orthonormal, so at scale 1
+                    row += f",{format_float(_sep_orthonormal(_orthonormalize(state.U, scale=1.0), Q_true))}"
+                except ValueError as exc:  # the tracked basis lost rank or collapsed
                     raise np.linalg.LinAlgError(f"tracked basis at step {t}: {exc}") from exc
             lines.append(row)
     with open(out, "w", encoding="utf-8") as fh:

@@ -211,17 +211,20 @@ def sep(U_hat: NDArray, U_true: NDArray) -> float:
         raise ValueError("bases must be p x r matrices of equal shape")
     if U_hat.shape[1] > U_hat.shape[0]:
         raise ValueError("rank r cannot exceed the ambient dimension p")
-    r = U_hat.shape[1]
-    Qh = _orthonormalize(U_hat)
-    Qt = _orthonormalize(U_true)
-    C = Qt.T @ Qh
-    val = (r - np.sum(C * C)) / r
-    return float(min(max(val, 0.0), 1.0))
+    return _sep_orthonormal(_orthonormalize(U_hat), _orthonormalize(U_true))
 
 
-def _orthonormalize(U: NDArray, name: str = "basis") -> NDArray:
+def _sep_orthonormal(Qh: NDArray, Qt: NDArray) -> float:
+    """sep on bases with orthonormal columns, such as _orthonormalize returns."""
+    r, C = Qh.shape[1], Qt.T @ Qh
+    return float(min(max((r - np.sum(C * C)) / r, 0.0), 1.0))
+
+
+def _orthonormalize(U: NDArray, name: str = "basis", scale: float = 0.0) -> NDArray:
+    """Q of U = QR; raises when some |R_kk| <= 1e-12 max(scale, max|R|). At scale 0 the floor is
+    relative (a basis in any units passes or fails alike; an all-zero one fails)."""
     q, rmat = np.linalg.qr(U)
-    if np.min(np.abs(np.diag(rmat))) < 1e-12 * max(1.0, np.abs(rmat).max()):
+    if np.min(np.abs(np.diag(rmat))) <= 1e-12 * max(scale, np.abs(rmat).max()):
         raise ValueError(f"rank-deficient {name}")
     return q
 

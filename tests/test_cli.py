@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gapkit.cli import main
-from gapkit.core import IncompleteMatrix, read_matrix_csv, rmse_missing, write_matrix_csv
+from gapkit.core import IncompleteMatrix, SeedSpec, format_float, read_matrix_csv, rmse_missing, sep, write_matrix_csv
+from gapkit.subspace import RobustConfig, petrels_init, petrels_update, petrels_weights, robust_update
 
 
 @pytest.fixture()
@@ -135,6 +136,31 @@ def test_track_emits_per_step_csv(runner, tmp_path):
     assert len(lines) == T + 1
     last_sep = float(lines[-1].split(",")[2])
     assert last_sep < 0.5  # tracker made progress on 60 clean steps
+
+
+@pytest.mark.parametrize("mode", ["petrels", "robust"])
+def test_track_per_step_csv_matches_a_library_loop_over_sep(runner, tmp_path, mode):
+    # the CLI orthonormalizes the truth once at load; every row must equal
+    # the library's core.sep of the step's basis against the raw truth
+    stream, U = _write_stream(tmp_path, 40)
+    truth = tmp_path / "truth.csv"
+    write_matrix_csv(truth, U * 3.0 + 0.5)  # a non-orthonormal basis of another span
+    out = tmp_path / "track.csv"
+    res = runner.invoke(main, ["track", "--stream", str(stream), "--mode", mode, "--truth", str(truth),
+                               "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    Y, T = read_matrix_csv(stream), read_matrix_csv(truth).values
+    state = petrels_init(Y.p, 2, SeedSpec(0), lambda_forget=0.98)
+    lines = ["t,residual,sep"]
+    for t, (y_t, m_t) in enumerate(zip(Y.filled(0.0).T, Y.mask.T)):
+        if mode == "petrels":
+            petrels_update(state, y_t, m_t)
+        else:
+            robust_update(state, y_t, m_t, RobustConfig())
+        w, _ = petrels_weights(state.U, y_t, m_t)
+        resid = np.linalg.norm(m_t * (y_t - state.U @ w))
+        lines.append(f"{t},{format_float(resid)},{format_float(sep(state.U, T))}")
+    assert out.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
 
 def test_graph_recover_and_learn(runner, tmp_path):

@@ -151,6 +151,17 @@ def test_sep_rank_deficient():
     U[:, 1] = 1.0
     with pytest.raises(ValueError, match="rank"):
         sep(U, np.eye(4)[:, :2])
+    with pytest.raises(ValueError, match="rank"):
+        sep(np.zeros((4, 2)), np.eye(4)[:, :2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.integers(2, 50), r=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), e=st.integers(-900, 900))
+def test_sep_does_not_depend_on_the_units(p, r, seed, e):
+    # the rank floor is relative to max|R|, so a basis in small units is no
+    # rank-deficient one; a power-of-two scale leaves the QR factor unchanged
+    U = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, min(r, p))))[0]
+    assert sep(U, 2.0**e * U) == sep(U, U) < 1e-12
 
 
 def test_seedspec_reproducible():

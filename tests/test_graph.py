@@ -616,6 +616,44 @@ def test_var_matches_row_by_row_lasso(seed, alpha):
     assert np.abs(A - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+def _var_draw(p, n, seed, zero_row):
+    X = np.random.default_rng(seed).standard_normal((p, n))
+    if zero_row:
+        X[seed % p] = 0.0  # coordinate seed % p has d_k = 0
+    return X
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 8), n=st.integers(3, 80), log_alpha=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**32 - 1), zero_row=st.booleans())
+def test_var_covariance_form_matches_row_by_row_lasso(p, n, log_alpha, seed, zero_row):
+    # var_learn's updates and gaps come from G, C and y^T y alone; the
+    # reference forms each row's residual from the n columns
+    X, alpha = _var_draw(p, n, seed, zero_row), 10.0**log_alpha
+    B, Y = X[:, :-1], X[:, 1:]
+    G = B @ B.T
+    ref = np.zeros((p, p))
+    for i in range(p):
+        ref[i] = _lasso_cd_reference(G, B @ Y[i], alpha / 2.0, ref[i], float(Y[i] @ Y[i]), B, Y[i])[0]
+    A = var_learn(X, alpha).A
+    assert np.abs(A - ref).max() <= max(1e-10 * np.abs(ref).max(), 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.integers(1, 8), n=st.integers(3, 80), log_alpha=st.floats(-3.0, 3.0),
+       seed=st.integers(0, 2**32 - 1), zero_row=st.booleans(), e=st.integers(-500, 500))
+def test_var_in_any_units_is_finite_or_an_overflow_error(p, n, log_alpha, seed, zero_row, e):
+    X, alpha = _var_draw(p, n, seed, zero_row) * 2.0**e, 10.0**log_alpha
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            A = var_learn(X, alpha).A
+        except ArithmeticError as exc:
+            assert f"alpha={alpha}" in str(exc)
+        else:
+            assert np.isfinite(A).all()
+
+
 # -- joint spatio-temporal fit -------------------------------------------------
 
 
